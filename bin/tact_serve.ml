@@ -32,7 +32,6 @@
 
 open Tact_transport
 module Config = Tact_replica.Config
-module Replica = Tact_replica.Replica
 module Fault = Tact_nemesis.Fault
 module Json = Tact_check.Json
 
@@ -141,22 +140,6 @@ let load_schedule ~n path =
 
 (* ------------------------------------------------------------------ *)
 
-let status_json srv =
-  let r = Serve.replica srv in
-  let st = Tcp.stats (Serve.tcp srv) in
-  let fs = Faulty.stats (Serve.faulty srv) in
-  Printf.sprintf
-    "{\"id\":%d,\"up\":%b,\"log\":%d,\"pending\":%d,\"malformed\":%d,\
-     \"peers_up\":%d,\"sent\":%d,\"recv\":%d,\"parked_drops\":%d,\
-     \"reconnects\":%d,\"poisoned\":%d,\"f_cut\":%d,\"f_loss\":%d}"
-    (Serve.id srv) (Replica.is_up r)
-    (Tact_store.Wlog.num_known (Replica.log r))
-    (Replica.pending_count r)
-    (Replica.malformed_frames r)
-    (Serve.peers_up srv) st.Tcp.sent_frames st.Tcp.recv_frames
-    st.Tcp.parked_drops st.Tcp.reconnects st.Tcp.poisoned
-    fs.Faulty.f_dropped_cut fs.Faulty.f_dropped_loss
-
 let main () =
   let argv = List.tl (Array.to_list Sys.argv) in
   let c = parse_cli argv in
@@ -211,7 +194,7 @@ let main () =
   (match c.status_every with
   | Some period ->
     Loop.every loop ~tag:"status" ~period (fun () ->
-        Printf.eprintf "[%d] %s\n%!" c.id (status_json srv);
+        Printf.eprintf "[%d] %s\n%!" c.id (Serve.status_json srv);
         not (Serve.stopped srv))
   | None -> ());
   let flush_trace =
@@ -240,7 +223,7 @@ let main () =
     (c.client_port_base + c.id);
   Serve.run srv;
   flush_trace ();
-  print_endline (status_json srv)
+  print_endline (Serve.status_json srv)
 
 let () =
   try main () with

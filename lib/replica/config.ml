@@ -59,12 +59,14 @@ type t = {
       (* debounce window: a peer marked dirty is flushed one batch this long
          after the first mark (Batched mode only) *)
   record_accesses : bool;
-      (* capture per-access observation records (the verifier's food); off
-         for long bounded-memory runs, where they grow without bound *)
+      (* capture per-access observation records (the verifier's food) and
+         keep the commit journal they read; off for long bounded-memory
+         runs, where both grow without bound.  Live replicas
+         (Replica.create_ext) force it off. *)
   bounded_log : bool;
-      (* bound per-replica log memory by the truncation horizon: disables
-         the commit journal and evicts truncated writes' side-table entries
-         (see Wlog.create_bounded); requires record_accesses = false *)
+      (* bound per-replica log memory by the truncation horizon: evicts
+         truncated writes' side-table entries (see Wlog.create_bounded);
+         requires record_accesses = false, which already drops the journal *)
   fault_oe_slack : float;
   fault_crash_replay : bool;
   shards : int;

@@ -88,14 +88,18 @@ type t = {
           becoming dirty and its coalesced batch frame being flushed *)
   record_accesses : bool;
       (** capture per-access observation records ({!Replica.records}, the
-          consistency verifier's input).  Default [true]; disable for long
-          bounded-memory runs — the records grow with every access,
-          forever. *)
+          consistency verifier's input) and keep the write log's append-only
+          commit journal that capture reads.  Default [true]; disable for
+          long bounded-memory runs — records and journal grow with every
+          access, forever.  Honoured by simulated replicas only: a live
+          replica ({!Replica.create_ext}) never records and keeps no
+          journal, whatever this field says. *)
   bounded_log : bool;
       (** bound per-replica log memory by the truncation horizon: the write
-          log drops its append-only commit journal and evicts truncated
-          writes' side-table entries ({!Tact_store.Wlog.create_bounded}).
-          Requires [record_accesses = false]; pair with [truncate_keep]. *)
+          log evicts truncated writes' side-table entries
+          ({!Tact_store.Wlog.create_bounded}).  Requires
+          [record_accesses = false], which already drops the commit
+          journal; pair with [truncate_keep]. *)
   fault_oe_slack : float;
       (** fault-injection knob for checker validation only: extra order-error
           slack the accept path wrongly grants (a planted off-by-[slack] bug).

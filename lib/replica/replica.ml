@@ -164,7 +164,7 @@ let make ~id ~n ~tr ~config ?on_accept () =
     cfg = config;
     wlog =
       Wlog.create_bounded
-        ~journal:(not config.Config.bounded_log)
+        ~journal:config.Config.record_accesses
         ~evict_outcomes:config.Config.bounded_log ~replicas:n
         ~initial:config.Config.initial_db;
     cover = Array.make n 0.0;
@@ -214,8 +214,12 @@ let make ~id ~n ~tr ~config ?on_accept () =
 let create ~id ~n ~net ~config ?on_accept () =
   make ~id ~n ~tr:(Sim { net; engine = Net.engine net }) ~config ?on_accept ()
 
+(* No live process reads access records (only the simulator's checkers do),
+   so a live replica records nothing and keeps no commit journal. *)
 let create_ext ~id ~n ~endpoint ~config ?on_accept () =
-  make ~id ~n ~tr:(Ext endpoint) ~config ?on_accept ()
+  make ~id ~n ~tr:(Ext endpoint)
+    ~config:{ config with Config.record_accesses = false }
+    ?on_accept ()
 
 let now t =
   match t.tr with
@@ -633,14 +637,15 @@ and deps_satisfied t p =
    is served but before the access itself applies — capture it first, then
    finalise with times and result.  The committed part is captured as an O(1)
    cursor into the log's append-only commit journal and only expanded if a
-   consumer forces [observed_local]; the tentative ids are captured eagerly
-   (their deque mutates), but that cost is bounded by the commit lag, not by
-   history. *)
+   consumer forces [observed_local]; the tentative ids are copied eagerly
+   (their deque mutates), so capture is O(tentative suffix) — on a replica
+   that never commits, O(history).  Only simulated replicas record: live
+   ones ([create_ext]) run with recording off. *)
 and capture_observation t =
   if not t.cfg.Config.record_accesses then
     (* Records are discarded (see the guards at the record sites), so skip
        the vector copy, tentative-id walk and journal cursor — the cursor is
-       unavailable anyway when the journal is off (bounded_log). *)
+       unavailable anyway: the journal is kept only while recording. *)
     (Version_vector.create 0, [], lazy [])
   else begin
     let vector = Version_vector.copy (Wlog.vector t.wlog) in

@@ -79,7 +79,13 @@ val create_ext :
     {!Tact_store.Transport.endpoint} seam: outgoing messages are serialised
     through {!Wire} and handed to [ep_send]; incoming bytes must be fed to
     {!deliver_wire}.  {!connect} is not required (peers are processes, not
-    values); {!crash}/{!recover} still model process-local failure. *)
+    values); {!crash}/{!recover} still model process-local failure.
+
+    A live replica keeps no verifier state: it runs with
+    [config.record_accesses] forced to [false], so {!records} stays [[]]
+    and the write log keeps no commit journal.  Only the simulator's
+    omniscient checkers read those, and they would otherwise grow with
+    every access; here a weak access costs O(1) work and memory. *)
 
 val id : t -> int
 val log : t -> Tact_store.Wlog.t
@@ -118,7 +124,9 @@ val submit_write :
   unit
 
 val records : t -> Tact_core.Access.t list
-(** Access records emitted so far (most recent first). *)
+(** Access records emitted so far (most recent first).  Always [[]] when
+    [config.record_accesses] is off, which includes every {!create_ext}
+    replica. *)
 
 val stats : t -> stats
 

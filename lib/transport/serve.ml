@@ -2,6 +2,7 @@ open Tact_util
 open Tact_store
 module Replica = Tact_replica.Replica
 module Config = Tact_replica.Config
+module Json = Tact_check.Json
 
 (* A connected client: length-prefixed Client-protocol frames in, buffered
    responses out.  Same read-buffer discipline as Tcp's accepted conns. *)
@@ -150,6 +151,29 @@ let status t =
     c_peers_up = peers_up t;
     c_now = Loop.now t.loop;
   }
+
+let status_json t =
+  let r = t.replica in
+  let st = Tcp.stats t.tcp in
+  let fs = Faulty.stats t.faulty in
+  let int k v = (k, Json.Num (float_of_int v)) in
+  Json.to_string ~indent:false
+    (Json.Obj
+       [
+         int "id" t.sid;
+         ("up", Json.Bool (Replica.is_up r));
+         int "log" (Wlog.num_known (Replica.log r));
+         int "pending" (Replica.pending_count r);
+         int "malformed" (Replica.malformed_frames r);
+         int "peers_up" (peers_up t);
+         int "sent" st.Tcp.sent_frames;
+         int "recv" st.Tcp.recv_frames;
+         int "parked_drops" st.Tcp.parked_drops;
+         int "reconnects" st.Tcp.reconnects;
+         int "poisoned" st.Tcp.poisoned;
+         int "f_cut" fs.Faulty.f_dropped_cut;
+         int "f_loss" fs.Faulty.f_dropped_loss;
+       ])
 
 let handle_request t (c : client_conn) req =
   let deadline = Loop.now t.loop +. t.request_timeout in

@@ -40,6 +40,14 @@ val id : t -> int
 val peers_up : t -> int
 (** Peer connections currently established (out of [n - 1]). *)
 
+val status_json : t -> string
+(** The daemon's status as one line of JSON (no newline), built with
+    {!Tact_check.Json}: [id], [up], [log], [pending], [malformed],
+    [peers_up], the {!Tcp} counters [sent], [recv], [parked_drops],
+    [reconnects], [poisoned], and the {!Faulty} drop counters [f_cut] and
+    [f_loss].  [tact_serve] prints it periodically and as its final
+    stdout line. *)
+
 val start : t -> unit
 (** Bind the peer and client listeners, start the replica's background
     activity.  Call once. *)

@@ -255,16 +255,13 @@ let () =
       close_in ic;
       match Json.parse line with
       | Error e -> fail "replica %d final status is not JSON (%s): %s" i e line
-      | Ok _ ->
+      | Ok j ->
         List.iter
-          (fun frag ->
-            let ok =
-              let fl = String.length frag and ll = String.length line in
-              let rec scan o = o + fl <= ll && (String.sub line o fl = frag || scan (o + 1)) in
-              scan 0
-            in
-            if not ok then fail "replica %d final status lacks %s: %s" i frag line)
-          [ "\"malformed\":0"; "\"parked_drops\":0"; "\"up\":true" ])
+          (fun (key, want) ->
+            if Json.member key j <> Some want then
+              fail "replica %d final status lacks %s = %s: %s" i key
+                (Json.to_string ~indent:false want) line)
+          [ ("malformed", Json.Num 0.0); ("parked_drops", Json.Num 0.0); ("up", Json.Bool true) ])
     pids;
   Printf.printf "serve-smoke ok: %d writes, converged at %g, clean drain\n" !submitted
     expect

@@ -254,11 +254,49 @@ let test_random_system =
        QCheck.(int_bound 100_000)
        random_system_ok)
 
+(* Anti-vacuity guard for the verifier: live replicas record nothing, but a
+   default simulated System must keep one record per completed access and
+   keep the commit journal observation capture reads — otherwise
+   [Verify.check] would pass on an empty record list. *)
+let test_simulated_records_every_access () =
+  let n = 3 in
+  (* Default config plus anti-entropy, so writes commit into the journal. *)
+  let config = { Config.default with Config.antientropy_period = Some 0.5 } in
+  let sys = System.create ~topology:(topo n) ~config () in
+  Alcotest.(check bool) "default records" true Config.default.Config.record_accesses;
+  let engine = System.engine sys in
+  let completed = ref 0 in
+  let done_ _ = incr completed in
+  for i = 0 to 11 do
+    let r = System.replica sys (i mod n) in
+    Engine.schedule engine ~delay:(0.1 *. float_of_int (i + 1)) (fun () ->
+        if i mod 3 = 2 then
+          Replica.submit_read r ~deps:[ ("c", Bounds.weak) ]
+            ~f:(fun db -> Db.get db "x")
+            ~k:done_
+        else
+          Replica.submit_write r ~deps:[] ~affects:[ unit_weight "c" ]
+            ~op:(Op.Add ("x", 1.0)) ~k:done_)
+  done;
+  System.run ~until:30.0 sys;
+  Alcotest.(check int) "every access completed" 12 !completed;
+  Alcotest.(check int) "one record per completed access" !completed
+    (List.length (System.records sys));
+  for i = 0 to n - 1 do
+    let lo, hi = Wlog.commit_cursor (Replica.log (System.replica sys i)) in
+    Alcotest.(check bool) (Printf.sprintf "replica %d journal holds commits" i) true
+      (hi > lo)
+  done;
+  Alcotest.(check int) "verifier clean on non-empty records" 0
+    (List.length (Verify.check sys))
+
 let base_suite =
   [
     Alcotest.test_case "session consumes spec" `Quick test_session_consumes_spec;
     Alcotest.test_case "read your writes locally" `Quick test_read_your_writes_locally;
     Alcotest.test_case "access records complete" `Quick test_access_records_complete;
+    Alcotest.test_case "simulator records every access" `Quick
+      test_simulated_records_every_access;
     Alcotest.test_case "primary commits everything" `Quick test_primary_commits_everything;
     Alcotest.test_case "stability order canonical" `Quick test_stability_commit_order_is_canonical;
     Alcotest.test_case "partition blocks stability" `Quick test_partition_blocks_stability_commit;

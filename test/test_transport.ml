@@ -11,6 +11,8 @@
    - loopback TCP integration on a single event loop: delivery, parking
      while a peer is down, reconnect-with-resync, poisoning of hostile
      connections, and fd-leak-free repeated create/destroy
+   - a live replica served through the client protocol keeps no access
+     records or commit journal, and its status line is one JSON object
    - an in-process 3-daemon nemesis run: a rolling partition plus delay
      spike (lib/nemesis/gen.ml) against live sockets through the
      fault-injecting decorator, with client traffic throughout and a
@@ -920,6 +922,63 @@ let test_serve_nemesis_convergence () =
         (Loop.stopping (Serve.loop s)))
     serves
 
+(* A live replica keeps no verifier state: weak submits through the client
+   protocol leave no access records and no commit journal behind, even
+   though the daemon's config ([Config.default]) asks for records.  Also
+   pins the one-line status JSON the daemon prints and the benchmark's
+   fleet driver parses. *)
+let test_serve_keeps_no_records () =
+  let ports = Array.of_list (fresh_ports 2) in
+  let peer_addrs = [| loopback ports.(0) |] in
+  let client_addr = loopback ports.(1) in
+  let config = { Config.default with Config.transport = fast_knobs } in
+  Alcotest.(check bool) "config asks for records" true config.Config.record_accesses;
+  let srv =
+    Serve.create ~id:0 ~n:1 ~peer_addrs ~client_addr ~config ~seed:7 ()
+  in
+  Serve.start srv;
+  let loop = Serve.loop srv in
+  let c = client_connect client_addr in
+  let writes = 50 in
+  for i = 1 to writes do
+    client_send c
+      (Client.Submit
+         { conit = "c"; nweight = 1.0; oweight = 1.0; op = Op.Add ("x", 1.0) });
+    let resp = ref None in
+    let answered =
+      pump loop ~deadline:(Loop.now loop +. 5.0) (fun () ->
+          (match client_try_read c with Some r -> resp := Some r | None -> ());
+          !resp <> None)
+    in
+    Alcotest.(check bool) (Printf.sprintf "write %d answered" i) true answered;
+    match !resp with
+    | Some (Client.Outcome (Op.Applied _)) -> ()
+    | Some r -> Alcotest.failf "write %d refused: %s" i (Client.describe_response r)
+    | None -> assert false
+  done;
+  let r = Serve.replica srv in
+  Alcotest.(check int) "every write accepted" writes (Wlog.num_known (Replica.log r));
+  Alcotest.(check int) "no access records" 0 (List.length (Replica.records r));
+  Alcotest.(check bool) "no commit journal" true
+    (match Wlog.commit_cursor (Replica.log r) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let line = Serve.status_json srv in
+  Alcotest.(check bool) "status on one line" false (String.contains line '\n');
+  (match Tact_check.Json.parse line with
+  | Error e -> Alcotest.failf "status is not JSON (%s): %s" e line
+  | Ok j ->
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (Printf.sprintf "status carries %s" key) true
+          (Tact_check.Json.member key j <> None))
+      [ "id"; "up"; "log"; "pending"; "malformed"; "peers_up"; "sent"; "recv";
+        "parked_drops"; "reconnects"; "poisoned"; "f_cut"; "f_loss" ];
+    Alcotest.(check (option int)) "status log count" (Some writes)
+      (Option.bind (Tact_check.Json.member "log" j) Tact_check.Json.to_int));
+  (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+  Serve.close srv
+
 (* --- System.run teardown (satellite f) --------------------------------- *)
 
 let topo n = Tact_sim.Topology.uniform ~n ~latency:0.04 ~bandwidth:1_000_000.0
@@ -988,6 +1047,8 @@ let suite =
     Alcotest.test_case "tcp: no fd leak on create/destroy" `Quick test_tcp_no_fd_leak;
     Alcotest.test_case "serve: nemesis run converges" `Slow
       test_serve_nemesis_convergence;
+    Alcotest.test_case "serve: live replica keeps no records" `Quick
+      test_serve_keeps_no_records;
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
