@@ -15,8 +15,9 @@
      --no-prune         disable commute-forward pruning
      --no-dedup         disable fingerprint deduplication
      --trace-dir DIR    where to write counterexample traces (default ".")
-     -j, --jobs N       explore with N worker domains (default 1); the
-                        verdict, statistics and trace are identical to -j 1
+     -j, --jobs N       explore on N domains, the caller included (default
+                        1); the verdict, statistics and trace are identical
+                        to -j 1
 
    Exit status: 0 all explored scenarios pass (or a replay reproduces its
    trace exactly), 1 a violation was found (trace written) or a replay did

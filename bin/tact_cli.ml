@@ -47,9 +47,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ]
         ~doc:
-          "Run experiments on $(docv) worker domains. Each experiment is an \
-           independent deterministic simulation, so the simulated results \
-           are identical at any job count." ~docv:"JOBS")
+          "Run experiments on $(docv) domains, the caller included. Each \
+           experiment is an independent deterministic simulation, so the \
+           simulated results are identical at any job count." ~docv:"JOBS")
 
 let all_cmd =
   let run full jobs =

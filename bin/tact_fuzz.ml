@@ -15,8 +15,9 @@
      --mutation M       planted bug: off | crash_replay | oe_slack:<x>
                         (self-test mode; default off)
      --trace-dir DIR    where to write shrunk counterexamples (default ".")
-     -j, --jobs N       fan runs over N worker domains (default 1); the
-                        runs, verdicts and digest are identical to -j 1
+     -j, --jobs N       fan runs over N domains, the caller included
+                        (default 1); the runs, verdicts and digest are
+                        identical to -j 1
 
    Exit status: 0 every run passed (or a replay reproduced exactly), 1 a
    violation was found (counterexample JSON written) or a replay did not

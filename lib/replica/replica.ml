@@ -241,12 +241,17 @@ let every t ~tag ~period f =
     Engine.every engine ~label:{ Engine.actor = t.rid; tag } ~period f
   | Ext ep -> ep.Transport.ep_every ~tag ~period f
 
-let trace t ~kind detail =
+(* [trace t ~kind fmt args] records one event whose detail is [fmt]
+   applied to [args]; with tracing off the arguments are not formatted. *)
+let trace t ~kind fmt =
   match t.cfg.Config.trace with
-  | None -> ()
+  | None -> Printf.ikfprintf ignore () fmt
   | Some tr ->
-    Trace.record tr ~time:(now t)
-      ~source:(Printf.sprintf "replica %d" t.rid) ~kind detail
+    Printf.ksprintf
+      (fun detail ->
+        Trace.record tr ~time:(now t)
+          ~source:(Printf.sprintf "replica %d" t.rid) ~kind detail)
+      fmt
 
 let id t = t.rid
 let log t = t.wlog
@@ -548,7 +553,7 @@ and commit_progress t =
   (match t.cfg.Config.commit_scheme with
   | Config.Stability ->
     let n = Wlog.commit_stable t.wlog ~cover:(my_cover t) in
-    if n > 0 then trace t ~kind:"commit" (Printf.sprintf "%d writes (stability)" n)
+    if n > 0 then trace t ~kind:"commit" "%d writes (stability)" n
   | Config.Primary _ -> commit_progress_primary t);
   match t.cfg.Config.truncate_keep with
   | Some keep -> ignore (Wlog.truncate t.wlog ~keep)
@@ -571,7 +576,7 @@ and commit_progress_primary t =
     if ids <> [] then begin
       ignore (Wlog.commit_ids t.wlog ids);
       t.csn_committed <- t.csn_committed + List.length ids;
-      trace t ~kind:"commit" (Printf.sprintf "%d writes (csn)" (List.length ids))
+      trace t ~kind:"commit" "%d writes (csn)" (List.length ids)
     end
 
 (* Primary: assign commit sequence numbers to every known-but-unassigned
@@ -676,8 +681,7 @@ and serve_read t p f k =
   let result = f (Wlog.db t.wlog) in
   let nw = now t in
   if nw > p.p_submit then
-    trace t ~kind:"served"
-      (Printf.sprintf "read after %.3fs wait" (nw -. p.p_submit));
+    trace t ~kind:"served" "read after %.3fs wait" (nw -. p.p_submit);
   if t.cfg.Config.record_accesses then
     t.records <-
       access_record t ~kind:Access.Read ~obs ~submit:p.p_submit ~serve:nw
@@ -691,13 +695,19 @@ and serve_write t p op affects k =
     Write.make ~id:{ origin = t.rid; seq } ~accept_time:(now t) ~op ~affects
   in
   let obs = capture_observation t in
-  let pre_vector = Version_vector.copy (Wlog.vector t.wlog) in
+  let pre_vector =
+    match t.on_accept with
+    | Some _ -> Some (Version_vector.copy (Wlog.vector t.wlog))
+    | None -> None
+  in
   let outcome = Wlog.accept t.wlog w in
-  trace t ~kind:"accept" (Write.to_string w);
+  trace t ~kind:"accept" "%t" (fun () -> Write.to_string w);
   Vec.push t.own_writes w;
   update_rate t;
   add_outstanding t w;
-  (match t.on_accept with Some f -> f w pre_vector | None -> ());
+  (match (t.on_accept, pre_vector) with
+  | Some f, Some v -> f w v
+  | _ -> ());
   (* Commitment may already be possible from local knowledge (the primary
      commits its own writes; a single-replica system is trivially covered). *)
   commit_progress t;
@@ -956,9 +966,8 @@ and process t msg =
   | Snapshot { from; snap; writes; vector; cover; rate; round } ->
     if Wlog.install_snapshot t.wlog snap then begin
       t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-      trace t ~kind:"snapshot"
-        (Printf.sprintf "installed %d committed writes from replica %d"
-           snap.Wlog.snap_ncommitted from);
+      trace t ~kind:"snapshot" "installed %d committed writes from replica %d"
+        snap.Wlog.snap_ncommitted from;
       (* The committed prefix the snapshot represents counts as committed for
          the primary scheme's pointer too. *)
       t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
@@ -989,8 +998,8 @@ and process t msg =
   | Transfer { from; writes; vector; cover; csn_start; csn; rate; kind } ->
     let fresh = Wlog.insert_batch t.wlog writes in
     if fresh <> [] then
-      trace t ~kind:"transfer"
-        (Printf.sprintf "%d new writes from replica %d" (List.length fresh) from);
+      trace t ~kind:"transfer" "%d new writes from replica %d"
+        (List.length fresh) from;
     (* Cover merge is sound only after the writes are in the log. *)
     Array.iteri (fun o c -> if c > t.cover.(o) then t.cover.(o) <- c) cover;
     t.cover.(t.rid) <- now t;
@@ -1024,16 +1033,15 @@ and process t msg =
     (match Batch.decode s with
     | Error e ->
       t.s_malformed <- t.s_malformed + 1;
-      trace t ~kind:"malformed" (Transport.error_to_string e)
+      trace t ~kind:"malformed" "%s" (Transport.error_to_string e)
     | Ok b ->
     if b.Batch.shard <> t.cfg.Config.shard_id then begin
       (* A frame carrying another shard's log must never be applied: its
          writes, vector and CSN slice all describe a different log.  Reject
          and account — the interest-set-aware oracle flags the counter. *)
       t.s_wrong_shard <- t.s_wrong_shard + 1;
-      trace t ~kind:"wrong-shard"
-        (Printf.sprintf "rejected frame for shard %d (serving %d)"
-           b.Batch.shard t.cfg.Config.shard_id)
+      trace t ~kind:"wrong-shard" "rejected frame for shard %d (serving %d)"
+        b.Batch.shard t.cfg.Config.shard_id
     end
     else begin
     let from = b.Batch.from in
@@ -1042,9 +1050,8 @@ and process t msg =
     | Batch.Full (snap, writes) ->
       if Wlog.install_snapshot t.wlog snap then begin
         t.s_snapshots_installed <- t.s_snapshots_installed + 1;
-        trace t ~kind:"snapshot"
-          (Printf.sprintf "installed %d committed writes from replica %d"
-             snap.Wlog.snap_ncommitted from);
+        trace t ~kind:"snapshot" "installed %d committed writes from replica %d"
+          snap.Wlog.snap_ncommitted from;
         t.csn_committed <- max t.csn_committed snap.Wlog.snap_ncommitted
       end;
       ignore (Wlog.insert_batch t.wlog writes));
@@ -1083,10 +1090,9 @@ let admit t ?deadline p =
     | Pwrite (op, affects, k) -> serve_write t p op affects k
   else begin
     t.s_blocked <- t.s_blocked + 1;
-    trace t ~kind:"blocked"
-      (Printf.sprintf "%s with %d deps"
-         (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
-         (List.length p.p_deps));
+    trace t ~kind:"blocked" "%s with %d deps"
+      (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
+      (List.length p.p_deps);
     Queue.push p t.pending;
     t.npending <- t.npending + 1;
     trigger_syncs t p;
@@ -1205,14 +1211,13 @@ let deliver_wire t ~src s =
   match Wire.decode s with
   | Error e ->
     t.s_malformed <- t.s_malformed + 1;
-    trace t ~kind:"malformed" (Transport.error_to_string e)
+    trace t ~kind:"malformed" "%s" (Transport.error_to_string e)
   | Ok msg -> (
     match Wire.sender msg with
     | Some from when from <> src ->
       t.s_malformed <- t.s_malformed + 1;
       trace t ~kind:"malformed"
-        (Printf.sprintf "message claims sender %d but arrived from peer %d"
-           from src)
+        "message claims sender %d but arrived from peer %d" from src
     | Some _ | None -> handle t msg)
 
 let malformed_frames t = t.s_malformed

@@ -122,7 +122,8 @@ val submit_read :
 
 val run : ?jobs:int -> ?until:float -> t -> unit
 (** Drain every shard's event queue (to virtual time [until]).  With
-    [jobs > 1], shard engines are dispatched across a [jobs]-domain pool
+    [jobs > 1], shard engines are dispatched across a [jobs]-domain pool (the
+    caller's domain is one of the [jobs])
     ({!Tact_sim.Engine.run_group}); shards are independent, so results are
     bit-identical to [jobs = 1]. *)
 

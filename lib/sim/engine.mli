@@ -85,7 +85,7 @@ val run_group :
     mutable state (each driving its own network and replicas, as the shards
     of {!Tact_replica.Sharded} do).  Without a pool, runs each engine with
     {!run} in array order; with one, dispatches them across the pool's
-    worker domains.  Because the engines are independent, the parallel
+    domains.  Because the engines are independent, the parallel
     schedule cannot perturb any engine's internal event order: results are
     bit-identical to the sequential run at any pool size.  An exception
     (including {!Runaway}) from the lowest-index failing engine is re-raised,

@@ -74,12 +74,13 @@ let payload_writes b = match b.payload with Delta ws | Full (_, ws) -> ws
 let writes_byte_size ws =
   List.fold_left (fun acc w -> acc + Write.byte_size w) 8 ws
 
-let byte_size b =
+(* [rs] is [ranges b], which [encode] also writes, so it is computed once. *)
+let byte_size_with_ranges b rs =
   let header =
     1 (* magic *) + 1 (* version *) + 8 (* from *) + 8 (* shard *)
     + 1 (* kind tag *)
     + 8 (* round *) + 8 (* rate *) + 8 (* csn_start *)
-    + 8 + (24 * List.length (ranges b))
+    + 8 + (24 * List.length rs)
     + 1 (* payload tag *)
   in
   let csn = 8 + (16 * List.length b.csn) in
@@ -92,6 +93,8 @@ let byte_size b =
   in
   header + csn + vector + cover + payload
 
+let byte_size b = byte_size_with_ranges b (ranges b)
+
 (* ------------------------------------------------------------------ *)
 (* Encode                                                              *)
 
@@ -100,7 +103,8 @@ let kind_round = function Pull_reply r -> r | Push | Gossip -> 0
 
 let encode frame b =
   let open Codec in
-  Frame.preallocate frame (byte_size b);
+  let rs = ranges b in
+  Frame.preallocate frame (byte_size_with_ranges b rs);
   put_u8 frame magic;
   put_u8 frame version;
   put_int frame b.from;
@@ -109,7 +113,6 @@ let encode frame b =
   put_int frame (kind_round b.kind);
   put_float frame b.rate;
   put_int frame b.csn_start;
-  let rs = ranges b in
   put_int frame (List.length rs);
   List.iter
     (fun (o, lo, hi) ->

@@ -39,11 +39,14 @@ let recording t f =
   assert (t.watch = None);
   let log = ref [] in
   t.watch <- Some log;
-  Fun.protect
-    ~finally:(fun () -> t.watch <- None)
-    (fun () ->
-      let result = f () in
-      (result, !log))
+  match f () with
+  | result ->
+    t.watch <- None;
+    (result, !log)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.watch <- None;
+    Printexc.raise_with_backtrace e bt
 
 (* The journal holds entries newest first, and each entry stores the binding
    before its own mutation, so replaying the journal in list order restores

@@ -469,10 +469,20 @@ let insert t (w : Write.t) =
     | None -> assert false
   end
 
+(* [List.sort Write.ts_compare ws] without the sort when [ws] is already in
+   order, as deltas from {!writes_since} are: the sort is stable, so an
+   ordered list is its own result. *)
+let sort_by_ts ws =
+  let rec ordered = function
+    | a :: (b :: _ as rest) -> Write.ts_compare a b <= 0 && ordered rest
+    | [] | [ _ ] -> true
+  in
+  if ordered ws then ws else List.sort Write.ts_compare ws
+
 let insert_batch t ws =
   (* One rollback/re-execution for the whole batch, from the lowest position
      any of its writes landed at. *)
-  let sorted = List.sort Write.ts_compare ws in
+  let sorted = sort_by_ts ws in
   let applied = Deque.length t.undo in
   let fresh = ref [] in
   let minpos = ref max_int in
@@ -489,7 +499,9 @@ let insert_batch t ws =
     sorted;
   if !fresh <> [] then finish_inserts t ~applied ~minpos:(min !minpos applied);
   sanitize ~ctx:"wlog.insert_batch" t;
-  List.sort Write.ts_compare !fresh
+  (* Fresh writes have distinct ids, so their timestamp order is unique
+     whatever order they were gathered in. *)
+  sort_by_ts (List.rev !fresh)
 
 let vector t = t.vector
 

@@ -26,8 +26,8 @@ type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 type 'a future = { mutable f_state : 'a state }
 
 type t = {
-  njobs : int;
-  queues : task Deque.t array; (* queues.(i) guarded by qlocks.(i) *)
+  njobs : int; (* domains running tasks: the workers plus the caller *)
+  queues : task Deque.t array; (* one per worker; guarded by qlocks.(i) *)
   qlocks : Mutex.t array;
   inject : task Queue.t; (* guarded by lock *)
   lock : Mutex.t;
@@ -71,10 +71,11 @@ let pop_inject t =
 (* Steal the older half of the first non-empty victim deque; the oldest
    stolen task runs immediately, the rest seed our own deque. *)
 let steal t i =
+  let nq = Array.length t.queues in
   let rec go k =
-    if k >= t.njobs then None
+    if k >= nq then None
     else
-      let v = (i + 1 + k) mod t.njobs in
+      let v = (i + 1 + k) mod nq in
       if v = i then go (k + 1)
       else begin
         Mutex.lock t.qlocks.(v);
@@ -118,7 +119,7 @@ let help_task t =
     | Some _ as s -> s
     | None ->
       let rec go v =
-        if v >= t.njobs then None
+        if v >= Array.length t.queues then None
         else begin
           Mutex.lock t.qlocks.(v);
           let r =
@@ -144,10 +145,14 @@ let enqueue t task =
   if t.closed then invalid_arg "Tact_util.Pool: submit after shutdown";
   match Domain.DLS.get current with
   | Some (Member (t', i)) when t' == t ->
+    (* Push under [lock] too: a thief could otherwise run the task and
+       count its completion before its deposit, letting [pending] touch 0
+       while work is still running (the only place [lock] and a queue lock
+       are held together, always in this order). *)
+    Mutex.lock t.lock;
     Mutex.lock t.qlocks.(i);
     Deque.push_back t.queues.(i) task;
     Mutex.unlock t.qlocks.(i);
-    Mutex.lock t.lock;
     deposited t;
     Mutex.unlock t.lock
   | _ ->
@@ -293,13 +298,17 @@ let worker t i () =
   in
   loop ()
 
+(* The caller is the [jobs]-th domain: it runs tasks inside await and
+   await_idle, so only [jobs - 1] workers are spawned and no domain is left
+   waiting for a core. *)
 let create ~jobs =
   let njobs = Stdlib.max 1 jobs in
+  let nworkers = njobs - 1 in
   let t =
     {
       njobs;
-      queues = Array.init njobs (fun _ -> Deque.create ());
-      qlocks = Array.init njobs (fun _ -> Mutex.create ());
+      queues = Array.init nworkers (fun _ -> Deque.create ());
+      qlocks = Array.init nworkers (fun _ -> Mutex.create ());
       inject = Queue.create ();
       lock = Mutex.create ();
       cond = Condition.create ();
@@ -312,7 +321,7 @@ let create ~jobs =
       domains = [];
     }
   in
-  t.domains <- List.init njobs (fun i -> Domain.spawn (worker t i));
+  t.domains <- List.init nworkers (fun i -> Domain.spawn (worker t i));
   t
 
 let shutdown t =
@@ -349,4 +358,4 @@ let with_pool ~jobs f =
     Printexc.raise_with_backtrace e bt
 
 let recommended_jobs ?(cap = max_int) () =
-  max 1 (min cap (Domain.recommended_domain_count () - 1))
+  max 1 (min cap (Domain.recommended_domain_count ()))

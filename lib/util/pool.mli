@@ -1,12 +1,15 @@
 (** Fixed-size work-stealing domain pool.
 
-    [create ~jobs] spawns [jobs] worker domains, each owning a deque of
-    pending tasks.  A worker drains its own deque LIFO (depth-first, cache
-    warm); when empty it takes from the shared injection queue, then steals
-    the older half of a victim's deque (breadth-first, so thieves grab the
-    biggest remaining subtrees).  Tasks submitted from outside the pool land
-    in the injection queue; tasks submitted by a worker land in its own
-    deque.
+    A pool of [jobs] runs tasks on [jobs] domains, the caller's included:
+    [create ~jobs] spawns [jobs - 1] worker domains, each owning a deque of
+    pending tasks, and the calling domain is the [jobs]-th, running tasks
+    while it waits in {!await} or {!await_idle}.  So no more domains compete
+    for cores than the caller asked for.  A worker drains its own deque LIFO
+    (depth-first, cache warm); when empty it takes from the shared injection
+    queue, then steals the older half of a victim's deque (breadth-first,
+    so thieves grab the biggest remaining subtrees).  Tasks submitted from
+    outside the pool land in the injection queue; tasks submitted by a
+    worker land in its own deque.
 
     Exceptions never vanish: a task's exception is captured with its
     backtrace and re-raised at {!await} (for futures) or at the next
@@ -22,11 +25,13 @@ type t
 type 'a future
 
 val create : jobs:int -> t
-(** Spawn [max 1 jobs] worker domains.  The calling domain is not a worker;
-    it only executes tasks while inside {!await} or {!await_idle}. *)
+(** A pool of [max 1 jobs] domains, the caller included: spawn
+    [max 1 jobs - 1] worker domains.  The calling domain executes tasks only
+    while inside {!await} or {!await_idle}; with [jobs <= 1] nothing is
+    spawned and every task runs there. *)
 
 val size : t -> int
-(** Number of worker domains. *)
+(** Number of domains that run tasks, the caller included: [max 1 jobs]. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task; its result (or exception) is delivered through the
@@ -65,6 +70,6 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 val recommended_jobs : ?cap:int -> unit -> int
 (** A sensible pool size for this host: the runtime's recommended domain
-    count minus one (the caller's domain keeps working), clamped to
+    count (the caller's domain counts as one of them), clamped to
     [\[1, cap\]].  The sanctioned way for upper layers to size a pool
     without touching [Domain] directly. *)

@@ -1,5 +1,5 @@
 (* Work-stealing pool: ordering, exception propagation, nested submission,
-   and empty-batch edge cases. *)
+   empty-batch edge cases, and how many domains run tasks. *)
 
 open Tact_util
 
@@ -86,7 +86,7 @@ let test_nested_submit () =
             let b = Pool.submit p (fun () -> 20) in
             Pool.await p a + Pool.await p b)
       in
-      Alcotest.(check int) "nested on a single worker" 30 (Pool.await p fut))
+      Alcotest.(check int) "nested on the caller alone" 30 (Pool.await p fut))
 
 let test_recursive_fanout () =
   (* Tree-shaped fan-out through post (the explorer's shape): every node
@@ -110,11 +110,40 @@ let test_empty () =
       Pool.await_idle p;
       Alcotest.(check (list int)) "empty map_list" [] (Pool.map_list p (fun x -> x) []);
       Pool.await_idle p);
-  (* jobs below 1 clamps to a single worker rather than failing *)
+  (* jobs below 1 clamps to the caller alone rather than failing *)
   Pool.with_pool ~jobs:0 (fun p ->
       Alcotest.(check int) "clamped size" 1 (Pool.size p);
       Alcotest.(check (list int)) "still works" [ 2; 4 ]
         (Pool.map_list p (fun x -> 2 * x) [ 1; 2 ]))
+
+(* A pool of [jobs] runs tasks on at most [jobs] domains, the caller's
+   included: it must not put more domains on the cores than it was given. *)
+let test_domain_count () =
+  let task_domains ~jobs =
+    Pool.with_pool ~jobs (fun p ->
+        Alcotest.(check int) "size counts the caller" jobs (Pool.size p);
+        Pool.map_array p
+          (fun i ->
+            (* Enough work per task that idle workers get to steal. *)
+            let acc = ref i in
+            for j = 1 to 20_000 do
+              acc := (!acc * 31) + j
+            done;
+            ignore (Sys.opaque_identity !acc);
+            (Domain.self () :> int))
+          (Array.init 64 Fun.id)
+        |> Array.to_list
+        |> List.sort_uniq Int.compare)
+  in
+  List.iter
+    (fun jobs ->
+      let used = task_domains ~jobs in
+      if List.length used > jobs then
+        Alcotest.failf "jobs:%d ran tasks on %d domains" jobs (List.length used))
+    [ 2; 3; 4 ];
+  Alcotest.(check (list int)) "jobs:1 runs every task on the caller"
+    [ (Domain.self () :> int) ]
+    (task_domains ~jobs:1)
 
 let test_shutdown_rejects () =
   let p = Pool.create ~jobs:2 in
@@ -165,6 +194,8 @@ let suite =
     Alcotest.test_case "recursive fan-out drains transitively" `Quick
       test_recursive_fanout;
     Alcotest.test_case "empty batches and clamped sizes" `Quick test_empty;
+    Alcotest.test_case "tasks run on at most jobs domains" `Quick
+      test_domain_count;
     Alcotest.test_case "shutdown is idempotent and final" `Quick
       test_shutdown_rejects;
     Alcotest.test_case "sync primitives under contention" `Quick

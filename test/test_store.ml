@@ -158,6 +158,21 @@ let test_db_keys () =
   let db = Db.create [ ("a", Value.Int 1); ("b", Value.Int 2) ] in
   Alcotest.(check int) "two keys" 2 (List.length (Db.keys db))
 
+(* A recording stops journalling on both exits, so a raising body leaves
+   the database ready for the next recording. *)
+let test_db_recording_exits () =
+  let db = Db.create [ ("a", Value.Int 1) ] in
+  (match Db.recording db (fun () -> Db.set db "a" (Value.Int 2); failwith "boom") with
+  | _ -> Alcotest.fail "the body raised"
+  | exception Failure _ -> ());
+  let (), undo = Db.recording db (fun () -> Db.set db "b" (Value.Int 3)) in
+  Db.set db "c" (Value.Int 4);
+  Db.revert db undo;
+  Alcotest.(check bool) "reverted only the recorded set" true
+    (Value.equal (Db.get db "b") Value.Nil
+    && Value.equal (Db.get db "a") (Value.Int 2)
+    && Value.equal (Db.get db "c") (Value.Int 4))
+
 (* --- Op ------------------------------------------------------------- *)
 
 let test_op_set_add_append () =
@@ -282,6 +297,7 @@ let suite =
     Alcotest.test_case "db copy isolated" `Quick test_db_copy_isolated;
     Alcotest.test_case "db equal" `Quick test_db_equal;
     Alcotest.test_case "db keys" `Quick test_db_keys;
+    Alcotest.test_case "db recording exits" `Quick test_db_recording_exits;
     Alcotest.test_case "op set/add/append" `Quick test_op_set_add_append;
     Alcotest.test_case "op noop" `Quick test_op_noop;
     Alcotest.test_case "op guarded" `Quick test_op_guarded;

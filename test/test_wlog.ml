@@ -263,6 +263,45 @@ let test_insert_batch_returns_drained () =
   let fresh = Wlog.insert_batch log [ mk ~origin:1 ~seq:1 ~t:1.0 () ] in
   Alcotest.(check int) "gap filler + drained" 2 (List.length fresh)
 
+(* insert_batch sorts its input only when it is out of timestamp order; a
+   reversed or duplicated delta must land exactly like the ordered one. *)
+let test_insert_batch_order_independent () =
+  let w ~origin ~seq ~t =
+    mk ~op:(seq_stamp_op (Printf.sprintf "o%d.%d" origin seq)) ~origin ~seq ~t ()
+  in
+  (* A local write in the middle forces a rollback and re-execution. *)
+  let local = w ~origin:0 ~seq:1 ~t:2.5 in
+  (* Timestamp order, with origin 2's seq 4 arriving ahead of its gap. *)
+  let ordered =
+    [ w ~origin:1 ~seq:1 ~t:1.0; w ~origin:2 ~seq:1 ~t:2.0; w ~origin:1 ~seq:2 ~t:3.0;
+      w ~origin:2 ~seq:2 ~t:4.0; w ~origin:2 ~seq:4 ~t:4.5; w ~origin:1 ~seq:3 ~t:5.0 ]
+  in
+  let deliver delta =
+    let log = Wlog.create ~replicas:3 ~initial:[] in
+    ignore (Wlog.accept log local);
+    let fresh = Wlog.insert_batch log delta in
+    let outcomes = List.map (fun (x : Write.t) -> Wlog.outcome log x.id) (local :: ordered) in
+    (log, List.map (fun (x : Write.t) -> x.id) fresh, outcomes)
+  in
+  let log0, fresh0, outcomes0 = deliver ordered in
+  Alcotest.(check int) "gap write held back" 5 (List.length fresh0);
+  List.iter
+    (fun (name, delta) ->
+      let log, fresh, outcomes = deliver delta in
+      Alcotest.(check bool) (name ^ ": vector") true
+        (Version_vector.equal (Wlog.vector log0) (Wlog.vector log));
+      Alcotest.(check bool) (name ^ ": db") true (Db.equal (Wlog.db log0) (Wlog.db log));
+      Alcotest.(check bool) (name ^ ": outcomes") true (outcomes0 = outcomes);
+      Alcotest.(check bool) (name ^ ": fresh") true (fresh0 = fresh);
+      Alcotest.(check bool) (name ^ ": tentative order") true
+        (Wlog.tentative_ids log0 = Wlog.tentative_ids log))
+    [
+      ("reversed", List.rev ordered);
+      ("repeated", ordered @ ordered);
+      ("doubled", List.concat_map (fun x -> [ x; x ]) ordered);
+      ("doubled reversed", List.rev (List.concat_map (fun x -> [ x; x ]) ordered));
+    ]
+
 (* Property: two logs receiving the same writes in different orders converge
    to the same full image and the same tentative order. *)
 let test_convergence_prop =
@@ -353,6 +392,7 @@ let base_suite =
       test_writes_since_merge_order;
     Alcotest.test_case "insert_batch single replay" `Quick test_insert_batch_single_replay;
     Alcotest.test_case "insert_batch returns drained" `Quick test_insert_batch_returns_drained;
+    Alcotest.test_case "insert_batch input order" `Quick test_insert_batch_order_independent;
     test_convergence_prop;
     test_commit_stable_prop;
   ]
