@@ -33,6 +33,9 @@ type msg = Wire.msg =
           slice, vector, cover and delta/snapshot payload in a single
           message (Batched sync mode) *)
 
+(* String-keyed tables with the monomorphic string hash. *)
+module Stbl = Hashtbl.Make (String)
+
 (* Which world this replica's protocol machine runs in.  [Sim] is the
    deterministic simulator: messages are delivered as closures through
    {!Net.send} (bit-identical to the pre-TRANSPORT code — digests must not
@@ -112,7 +115,7 @@ type t = {
                             time <= cover.(o) are known here *)
   acked : Version_vector.t array;  (** acked.(j): writes confirmed present at j *)
   acked_csn : int array;
-  outstanding : (string, float) Hashtbl.t array;
+  outstanding : Tally.t array;
       (** per peer: conit -> |nweight| of own accepted writes not yet
           confirmed at that peer *)
   sub_ptr : int array;  (** per peer: own seq up to which outstanding has been
@@ -120,14 +123,14 @@ type t = {
   own_writes : Write.t Vec.t;
   csn : Csn_buffer.t;
   mutable csn_committed : int;
-  mutable in_csn : (Write.id, unit) Hashtbl.t;  (** primary only *)
+  in_csn : unit Write.Id_tbl.t;  (** primary only *)
   mutable rate_ewma : float;
   mutable last_rate_update : float;
   rates : float array;
   mutable pending : pending Queue.t;  (** oldest first *)
   mutable npending : int;  (** live (not [p_done]) entries in [pending] *)
   return_queue : unreturned Queue.t;  (** oldest first *)
-  conit_decls : (string, Conit.t) Hashtbl.t;
+  conit_decls : Conit.t Stbl.t;
   rounds : (int, round_state) Hashtbl.t;
   mutable round_ctr : int;
   mutable peers : int -> t;
@@ -170,12 +173,12 @@ let make ~id ~n ~tr ~config ?on_accept () =
     cover = Array.make n 0.0;
     acked = Array.init n (fun _ -> Version_vector.create n);
     acked_csn = Array.make n 0;
-    outstanding = Array.init n (fun _ -> Hashtbl.create 8);
+    outstanding = Array.init n (fun _ -> Tally.create 8);
     sub_ptr = Array.make n 0;
     own_writes = Vec.create ();
     csn = Csn_buffer.create ();
     csn_committed = 0;
-    in_csn = Hashtbl.create 64;
+    in_csn = Write.Id_tbl.create 64;
     rate_ewma = 0.0;
     last_rate_update = 0.0;
     rates = Array.make n 0.0;
@@ -183,8 +186,8 @@ let make ~id ~n ~tr ~config ?on_accept () =
     npending = 0;
     return_queue = Queue.create ();
     conit_decls =
-      (let tbl = Hashtbl.create (List.length config.Config.conits) in
-       List.iter (fun (c : Conit.t) -> Hashtbl.replace tbl c.name c) config.Config.conits;
+      (let tbl = Stbl.create (List.length config.Config.conits) in
+       List.iter (fun (c : Conit.t) -> Stbl.replace tbl c.name c) config.Config.conits;
        tbl);
     rounds = Hashtbl.create 8;
     round_ctr = 0;
@@ -261,7 +264,7 @@ let records t = t.records
 let pending_count t = t.npending
 
 let bookkeeping_entries t =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.outstanding
+  Array.fold_left (fun acc tally -> acc + Tally.length tally) 0 t.outstanding
 
 (* Replica-level invariant audit (TACT_SANITIZE checking mode): execution
    state that sits above the write log — cover times, parked-access
@@ -469,36 +472,31 @@ and transfer_reply t ~req_vector ~csn_known ~round =
 (* ------------------------------------------------------------------ *)
 (* Budget bookkeeping                                                  *)
 
-and declared_bounds t conit_name =
-  match Hashtbl.find_opt t.conit_decls conit_name with
-  | Some c -> (c.Conit.ne_bound, c.Conit.ne_rel_bound, c.Conit.initial_value)
-  | None -> (infinity, infinity, 0.0)
+(* An undeclared conit has no standing NE bound (both bounds infinite). *)
+and declared t conit_name = Stbl.find_opt t.conit_decls conit_name
 
 (* The absolute share of a receiver's NE budget this replica may consume for
    a conit; relative bounds are converted with a conservative local estimate
    of the conit's value. *)
 and share_for t ~receiver conit_name =
-  let ne_bound, ne_rel_bound, initial = declared_bounds t conit_name in
   let abs_bound =
-    if Float.equal ne_rel_bound infinity then ne_bound
-    else begin
-      (* Conservative value estimate: the committed value minus everything
-         still in flight could be lower, but for the monotone workloads the
-         relative bound targets (counters, seat pools) the local full view is
-         the estimate the TACT prototype uses. *)
-      let v = Float.abs (initial +. Wlog.conit_value t.wlog conit_name) in
-      Float.min ne_bound (ne_rel_bound *. v)
-    end
+    match declared t conit_name with
+    | None -> infinity
+    | Some c ->
+      if Float.equal c.Conit.ne_rel_bound infinity then c.Conit.ne_bound
+      else begin
+        (* Conservative value estimate: the committed value minus everything
+           still in flight could be lower, but for the monotone workloads the
+           relative bound targets (counters, seat pools) the local full view
+           is the estimate the TACT prototype uses. *)
+        let v = Float.abs (c.Conit.initial_value +. Wlog.conit_value t.wlog conit_name) in
+        Float.min c.Conit.ne_bound (c.Conit.ne_rel_bound *. v)
+      end
   in
   if Float.equal abs_bound infinity then infinity
   else
     Budget.share t.cfg.Config.budget_policy ~bound:abs_bound ~n:t.n ~self:t.rid
       ~receiver ~rates:t.rates
-
-and outstanding_for t ~peer conit_name =
-  match Hashtbl.find_opt t.outstanding.(peer) conit_name with
-  | Some v -> v
-  | None -> 0.0
 
 and add_outstanding t (w : Write.t) =
   for j = 0 to t.n - 1 do
@@ -510,8 +508,7 @@ and add_outstanding t (w : Write.t) =
       else
         List.iter
           (fun { Write.conit; nweight; _ } ->
-            let cur = outstanding_for t ~peer:j conit in
-            Hashtbl.replace t.outstanding.(j) conit (cur +. Float.abs nweight))
+            Tally.add t.outstanding.(j) conit (Float.abs nweight))
           w.affects
   done
 
@@ -524,8 +521,7 @@ and release_outstanding t ~peer =
     t.sub_ptr.(peer) <- t.sub_ptr.(peer) + 1;
     List.iter
       (fun { Write.conit; nweight; _ } ->
-        let cur = outstanding_for t ~peer conit in
-        Hashtbl.replace t.outstanding.(peer) conit (cur -. Float.abs nweight))
+        Tally.add t.outstanding.(peer) conit (-.Float.abs nweight))
       w.affects
   done
 
@@ -539,7 +535,7 @@ and over_budget_peers t (w : Write.t) =
         List.exists
           (fun { Write.conit; nweight; _ } ->
             (not (Float.equal nweight 0.0))
-            && outstanding_for t ~peer:j conit > share_for t ~receiver:j conit)
+            && Tally.get t.outstanding.(j) conit > share_for t ~receiver:j conit)
           w.affects
       in
       if over then result := j :: !result
@@ -564,27 +560,28 @@ and commit_progress_primary t =
   | Config.Stability -> assert false
   | Config.Primary p ->
     if t.rid = p then primary_assign t;
-    (* Commit the known-csn prefix whose writes we hold. *)
-    let rec advance acc =
-      if
-        t.csn_committed + List.length acc < Csn_buffer.known t.csn
-        && Wlog.known t.wlog (Csn_buffer.get t.csn (t.csn_committed + List.length acc))
-      then advance (Csn_buffer.get t.csn (t.csn_committed + List.length acc) :: acc)
-      else List.rev acc
+    (* Commit the known-csn prefix whose writes we hold.  [count] tracks the
+       prefix length, so the walk stays linear in it (a heal can make
+       thousands of writes committable at once). *)
+    let rec advance acc count =
+      let i = t.csn_committed + count in
+      if i < Csn_buffer.known t.csn && Wlog.known t.wlog (Csn_buffer.get t.csn i)
+      then advance (Csn_buffer.get t.csn i :: acc) (count + 1)
+      else (List.rev acc, count)
     in
-    let ids = advance [] in
-    if ids <> [] then begin
+    let ids, count = advance [] 0 in
+    if count > 0 then begin
       ignore (Wlog.commit_ids t.wlog ids);
-      t.csn_committed <- t.csn_committed + List.length ids;
-      trace t ~kind:"commit" "%d writes (csn)" (List.length ids)
+      t.csn_committed <- t.csn_committed + count;
+      trace t ~kind:"commit" "%d writes (csn)" count
     end
 
 (* Primary: assign commit sequence numbers to every known-but-unassigned
    write, in local arrival (timestamp) order. *)
 and primary_assign t =
   Wlog.iter_tentative t.wlog (fun (w : Write.t) ->
-      if not (Hashtbl.mem t.in_csn w.id) then begin
-        Hashtbl.replace t.in_csn w.id ();
+      if not (Write.Id_tbl.mem t.in_csn w.id) then begin
+        Write.Id_tbl.replace t.in_csn w.id ();
         Csn_buffer.append t.csn w.id
       end)
 
@@ -604,8 +601,9 @@ and staleness_estimate t =
 (* Does a dep require a one-off pull round (NE tighter than the declared,
    proactively maintained bound)? *)
 and needs_ne_round t (conit_name, (b : Bounds.t)) =
-  let ne_bound, ne_rel_bound, _ = declared_bounds t conit_name in
-  b.ne < ne_bound || b.ne_rel < ne_rel_bound
+  match declared t conit_name with
+  | Some c -> b.ne < c.Conit.ne_bound || b.ne_rel < c.Conit.ne_rel_bound
+  | None -> b.ne < infinity || b.ne_rel < infinity
 
 and deps_satisfied t p =
   let require_ok =
@@ -712,10 +710,6 @@ and serve_write t p op affects k =
      commits its own writes; a single-replica system is trivially covered). *)
   commit_progress t;
   let serve = now t in
-  let record return_t returned_outcome =
-    access_record t ~kind:(Access.Write_access w.id) ~obs ~submit:p.p_submit
-      ~serve ~return_t ~deps:p.p_deps ~result:(Op.result returned_outcome)
-  in
   (* A zero order-error dependency makes the write commit-synchronous. *)
   let wait_commit =
     List.exists (fun (_, (b : Bounds.t)) -> Float.equal b.oe 0.0) p.p_deps
@@ -724,7 +718,7 @@ and serve_write t p op affects k =
   let over = over_budget_peers t w in
   if over = [] && not wait_commit then begin
     if t.cfg.Config.record_accesses then
-      t.records <- record serve outcome :: t.records;
+      t.records <- write_record t p w ~obs ~serve serve outcome :: t.records;
     k outcome
   end
   else begin
@@ -742,10 +736,17 @@ and serve_write t p op affects k =
       done;
     Queue.push
       { u_write = w; u_outcome = outcome; u_wait_commit = wait_commit;
-        u_record = record; u_k = k }
+        u_record = write_record t p w ~obs ~serve; u_k = k }
       t.return_queue;
     ensure_retry t
   end
+
+(* The access record of a served write, completed when it returns.  A named
+   function rather than a local closure, so a write that returns at once
+   builds no closure. *)
+and write_record t p (w : Write.t) ~obs ~serve return_t returned_outcome =
+  access_record t ~kind:(Access.Write_access w.id) ~obs ~submit:p.p_submit ~serve
+    ~return_t ~deps:p.p_deps ~result:(Op.result returned_outcome)
 
 and update_rate t =
   (* EWMA of the local write rate (writes/s), for adaptive budget splits. *)

@@ -13,7 +13,7 @@ type t = {
   net : Net.t;
   config : Config.t;
   replicas : Replica.t array;
-  writes : (Write.id, write_meta) Hashtbl.t;
+  writes : write_meta Write.Id_tbl.t;
   mutable started : bool;
   mutable closed : bool;
 }
@@ -29,14 +29,14 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   let jit = if jitter > 0.0 then Some (rng, jitter) else None in
   let lss = if loss > 0.0 then Some (Prng.split rng, loss) else None in
   let net = Net.create engine topology ?jitter:jit ?loss:lss () in
-  let writes = Hashtbl.create 1024 in
+  let writes = Write.Id_tbl.create 1024 in
   let n = topology.Topology.n in
   let replicas =
     Array.init n (fun i ->
         if track_writes then
           Replica.create ~id:i ~n ~net ~config
             ~on_accept:(fun w vec ->
-              Hashtbl.replace writes w.Write.id
+              Write.Id_tbl.replace writes w.Write.id
                 { write = w; accept_vector = vec; return_time = w.Write.accept_time })
             ()
         else Replica.create ~id:i ~n ~net ~config ())
@@ -66,7 +66,7 @@ let collect_returns t =
         (fun (a : Tact_core.Access.t) ->
           match a.kind with
           | Tact_core.Access.Write_access id -> (
-            match Hashtbl.find_opt t.writes id with
+            match Write.Id_tbl.find_opt t.writes id with
             | Some meta -> meta.return_time <- a.return_time
             | None -> ())
           | Tact_core.Access.Read -> ())
@@ -95,22 +95,22 @@ let run ?until t =
   collect_returns t
 
 let all_writes t =
-  (* lint: allow hashtbl-fold — collected list is sorted just below *)
-  Hashtbl.fold (fun _ m acc -> m.write :: acc) t.writes []
+  (* The collected list is sorted just below. *)
+  Write.Id_tbl.fold (fun _ m acc -> m.write :: acc) t.writes []
   |> List.sort Write.ts_compare
 
-let write_count t = Hashtbl.length t.writes
+let write_count t = Write.Id_tbl.length t.writes
 
 let find_write t id =
-  Option.map (fun m -> m.write) (Hashtbl.find_opt t.writes id)
+  Option.map (fun m -> m.write) (Write.Id_tbl.find_opt t.writes id)
 
 let return_time t id =
-  match Hashtbl.find_opt t.writes id with
+  match Write.Id_tbl.find_opt t.writes id with
   | Some m -> m.return_time
   | None -> invalid_arg ("System.return_time: unknown write " ^ Write.id_to_string id)
 
 let accept_vector t id =
-  match Hashtbl.find_opt t.writes id with
+  match Write.Id_tbl.find_opt t.writes id with
   | Some m -> m.accept_vector
   | None -> invalid_arg ("System.accept_vector: unknown write " ^ Write.id_to_string id)
 

@@ -66,16 +66,13 @@ let set_scheduler t s =
      any quiescent point (between run calls / before scheduling workload). *)
   (match (t.chooser, s) with
   | None, Some _ ->
-    let rec drain () =
-      match Heap.pop t.queue with
-      | None -> ()
-      | Some (time, seq, (label, thunk)) ->
-        t.pending <-
-          { e_time = time; e_seq = seq; e_label = label; e_thunk = thunk }
-          :: t.pending;
-        drain ()
-    in
-    drain ()
+    while not (Heap.is_empty t.queue) do
+      let time = Heap.min_time t.queue and seq = Heap.min_seq t.queue in
+      let label, thunk = Heap.pop_min t.queue in
+      t.pending <-
+        { e_time = time; e_seq = seq; e_label = label; e_thunk = thunk }
+        :: t.pending
+    done
   | Some _, None ->
     List.iter
       (fun e -> Heap.push t.queue ~time:e.e_time ~seq:e.e_seq (e.e_label, e.e_thunk))
@@ -110,37 +107,43 @@ let pending_choices t =
       arr;
     arr
 
-(* Default mode: strict (time, seq) dispatch out of the heap. *)
+(* Default mode: strict (time, seq) dispatch out of the heap.  The key is
+   read in place ([min_time], [min_seq]) and the value popped with
+   [pop_min], so the queue allocates nothing per event.  The clock stays a
+   boxed field: reads of [now] far outnumber dispatches, and the boxed
+   field hands readers its value without boxing it again. *)
 let run_heap ~until ~max_events t =
+  let q = t.queue in
   let continue = ref true in
   while !continue do
-    match Heap.peek_time t.queue with
-    | None -> continue := false
-    | Some time when time > until ->
+    if Heap.is_empty q then continue := false
+    else if Heap.min_time q > until then begin
       (* Leave future events queued; advance the clock to the horizon so that
          staleness measured at the end of a run is well defined. *)
       t.clock <- until;
       continue := false
-    | Some _ ->
+    end
+    else begin
       (* Runaway guard: raise before dispatch, leaving the offending event
          queued — a caller that catches [Runaway] can resume the run. *)
       if t.executed >= max_events then raise (Runaway t.executed);
-      (match Heap.pop t.queue with
-      | None -> continue := false
-      | Some (time, seq, (_, thunk)) ->
-        if Tact_util.Sanitize.enabled () then begin
-          (* Dispatch must be totally ordered by (time, insertion seq) — a
-             heap defect here would silently reorder protocol steps. *)
-          let lt, ls = t.last_dispatch in
-          if time < lt || (time = lt && seq <= ls) then
-            Tact_util.Sanitize.violation ~ctx:"engine"
-              "event (t=%g, seq=%d) dispatched after (t=%g, seq=%d)" time seq
-              lt ls;
-          t.last_dispatch <- (time, seq)
-        end;
-        t.clock <- time;
-        t.executed <- t.executed + 1;
-        thunk ())
+      let time = Heap.min_time q in
+      if Tact_util.Sanitize.enabled () then begin
+        (* Dispatch must be totally ordered by (time, insertion seq) — a
+           heap defect here would silently reorder protocol steps. *)
+        let seq = Heap.min_seq q in
+        let lt, ls = t.last_dispatch in
+        if time < lt || (time = lt && seq <= ls) then
+          Tact_util.Sanitize.violation ~ctx:"engine"
+            "event (t=%g, seq=%d) dispatched after (t=%g, seq=%d)" time seq
+            lt ls;
+        t.last_dispatch <- (time, seq)
+      end;
+      let _, thunk = Heap.pop_min q in
+      t.clock <- time;
+      t.executed <- t.executed + 1;
+      thunk ()
+    end
   done
 
 (* Chooser mode: every dispatch is a choice point.  The strategy sees all

@@ -11,14 +11,6 @@ let zero_stats =
   { messages = 0; bytes = 0; dropped = 0; dropped_loss = 0; dropped_cut = 0;
     max_message = 0 }
 
-(* Per directed link counters, including drops (satellite: traffic_where used
-   to read [dropped = 0] because drops were only counted globally). *)
-type link_counters = {
-  mutable lc_messages : int;
-  mutable lc_bytes : int;
-  mutable lc_dropped : int;
-}
-
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -27,7 +19,10 @@ type t = {
   queued : bool;
   link_free : (int * int, float) Hashtbl.t;  (* per directed link: time the
                                                 transmitter frees up *)
-  link_traffic : (int * int, link_counters) Hashtbl.t;
+  (* Per directed link counters, including drops, flat over [src * n + dst]. *)
+  lc_messages : int array;
+  lc_bytes : int array;
+  lc_dropped : int array;
   cut : (int * int, unit) Hashtbl.t;
   link_loss : (int * int, Tact_util.Prng.t * float) Hashtbl.t;
   mutable duplication : (Tact_util.Prng.t * float) option;
@@ -48,7 +43,9 @@ let create engine topo ?jitter ?loss ?(queued = false) () =
     loss;
     queued;
     link_free = Hashtbl.create 7;
-    link_traffic = Hashtbl.create 7;
+    lc_messages = Array.make (topo.Topology.n * topo.Topology.n) 0;
+    lc_bytes = Array.make (topo.Topology.n * topo.Topology.n) 0;
+    lc_dropped = Array.make (topo.Topology.n * topo.Topology.n) 0;
     cut = Hashtbl.create 7;
     link_loss = Hashtbl.create 7;
     duplication = None;
@@ -64,7 +61,10 @@ let create engine topo ?jitter ?loss ?(queued = false) () =
 let engine t = t.engine
 let size t = t.topo.Topology.n
 
-let partitioned t a b = Hashtbl.mem t.cut (a, b)
+(* The [cut] and [link_loss] tables are empty unless a fault schedule
+   installed something; checking the length first spares every message the
+   [(src, dst)] key tuple. *)
+let partitioned t a b = Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (a, b)
 
 let set_loss t loss = t.loss <- loss
 
@@ -86,20 +86,16 @@ let lossy t ~src ~dst =
   (* Evaluate both knobs unconditionally so each rng stream advances exactly
      once per message regardless of the other knob's draw. *)
   let global = draw t.loss in
-  let per_link = draw (Hashtbl.find_opt t.link_loss (src, dst)) in
+  let per_link =
+    Hashtbl.length t.link_loss > 0 && draw (Hashtbl.find_opt t.link_loss (src, dst))
+  in
   global || per_link
 
-let counters t src dst =
-  match Hashtbl.find_opt t.link_traffic (src, dst) with
-  | Some c -> c
-  | None ->
-    let c = { lc_messages = 0; lc_bytes = 0; lc_dropped = 0 } in
-    Hashtbl.replace t.link_traffic (src, dst) c;
-    c
+let link t src dst = (src * size t) + dst
 
 let record_drop t src dst ~cut =
-  let c = counters t src dst in
-  c.lc_dropped <- c.lc_dropped + 1;
+  let l = link t src dst in
+  t.lc_dropped.(l) <- t.lc_dropped.(l) + 1;
   if cut then t.dropped_cut <- t.dropped_cut + 1
   else t.dropped_loss <- t.dropped_loss + 1
 
@@ -107,9 +103,9 @@ let record_sent t src dst ~size =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + size;
   if size > t.max_message then t.max_message <- size;
-  let c = counters t src dst in
-  c.lc_messages <- c.lc_messages + 1;
-  c.lc_bytes <- c.lc_bytes + size
+  let l = link t src dst in
+  t.lc_messages.(l) <- t.lc_messages.(l) + 1;
+  t.lc_bytes.(l) <- t.lc_bytes.(l) + size
 
 let base_delay t ~src ~dst ~size =
   if t.queued && src <> dst then begin
@@ -208,18 +204,23 @@ let stats t =
   }
 
 let traffic_where t pred =
-  (* lint: allow hashtbl-fold — commutative sum over links *)
-  Hashtbl.fold
-    (fun (src, dst) c (acc : stats) ->
-      if pred ~src ~dst then
-        {
-          acc with
-          messages = acc.messages + c.lc_messages;
-          bytes = acc.bytes + c.lc_bytes;
-          dropped = acc.dropped + c.lc_dropped;
-        }
-      else acc)
-    t.link_traffic zero_stats
+  let n = size t in
+  let acc = ref zero_stats in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let l = link t src dst in
+      (* Only links that carried or dropped something are offered to [pred]. *)
+      if (t.lc_messages.(l) > 0 || t.lc_dropped.(l) > 0) && pred ~src ~dst then
+        acc :=
+          {
+            !acc with
+            messages = !acc.messages + t.lc_messages.(l);
+            bytes = !acc.bytes + t.lc_bytes.(l);
+            dropped = !acc.dropped + t.lc_dropped.(l);
+          }
+    done
+  done;
+  !acc
 
 let reset_stats t =
   t.messages <- 0;
@@ -227,4 +228,6 @@ let reset_stats t =
   t.dropped_loss <- 0;
   t.dropped_cut <- 0;
   t.max_message <- 0;
-  Hashtbl.reset t.link_traffic
+  Array.fill t.lc_messages 0 (Array.length t.lc_messages) 0;
+  Array.fill t.lc_bytes 0 (Array.length t.lc_bytes) 0;
+  Array.fill t.lc_dropped 0 (Array.length t.lc_dropped) 0

@@ -48,19 +48,26 @@ type header = {
 (* Per-origin contiguous sequence ranges of the carried writes.  Delta writes
    are exactly the suffix the receiver's vector lacks, so per origin they are
    contiguous; we compute min/max and leave holes (impossible by
-   construction) to the decoder's write-level dedup. *)
+   construction) to the decoder's write-level dedup.  Origins are replica
+   ids (small and dense), so the min/max live in arrays indexed by origin
+   and reading them out in index order sorts the result. *)
 let ranges_of_writes writes =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (w : Write.t) ->
-      let o = w.id.origin and s = w.id.seq in
-      match Hashtbl.find_opt tbl o with
-      | None -> Hashtbl.replace tbl o (s, s)
-      | Some (lo, hi) -> Hashtbl.replace tbl o (min lo s, max hi s))
-    writes;
-  (* lint: allow hashtbl-fold -- collection only, sorted by origin below *)
-  Hashtbl.fold (fun o (lo, hi) acc -> (o, lo, hi) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  match writes with
+  | [] -> []
+  | _ :: _ ->
+    let span = 1 + List.fold_left (fun m (w : Write.t) -> max m w.id.origin) 0 writes in
+    let lo = Array.make span max_int and hi = Array.make span min_int in
+    List.iter
+      (fun (w : Write.t) ->
+        let o = w.id.origin and s = w.id.seq in
+        if s < lo.(o) then lo.(o) <- s;
+        if s > hi.(o) then hi.(o) <- s)
+      writes;
+    let acc = ref [] in
+    for o = span - 1 downto 0 do
+      if hi.(o) >= lo.(o) then acc := (o, lo.(o), hi.(o)) :: !acc
+    done;
+    !acc
 
 let ranges b =
   match b.payload with

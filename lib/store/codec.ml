@@ -98,14 +98,19 @@ let get_u8 c =
   c.pos <- c.pos + 1;
   b
 
-let get_i64 c =
+(* Each reader converts the 8 bytes where it reads them: an [int64]
+   returned from a shared helper would be boxed on every call. *)
+let get_int c =
   need c 8;
-  let v = String.get_int64_be c.data c.pos in
+  let v = Int64.to_int (String.get_int64_be c.data c.pos) in
   c.pos <- c.pos + 8;
   v
 
-let get_int c = Int64.to_int (get_i64 c)
-let get_float c = Int64.float_of_bits (get_i64 c)
+let get_float c =
+  need c 8;
+  let v = Int64.float_of_bits (String.get_int64_be c.data c.pos) in
+  c.pos <- c.pos + 8;
+  v
 
 let get_string c =
   let n = get_int c in

@@ -94,7 +94,6 @@ val check_items : cursor -> n:int -> min_size:int -> what:string -> unit
 
 val get_u8 : cursor -> int
 val get_int : cursor -> int
-val get_i64 : cursor -> int64
 val get_float : cursor -> float
 val get_string : cursor -> string
 

@@ -1,62 +1,99 @@
-type undo_entry = { u_key : string; u_prev : Value.t option }
+(* One mutable cell per key: a read, a write or an increment costs one
+   string-hash lookup, and overwriting a present key writes through its
+   cell.  [String.hash] equals the polymorphic [Hashtbl.hash] on strings,
+   so the bucket layout — and with it [keys] order — is exactly that of a
+   generic [(string, Value.t) Hashtbl.t] fed the same operations. *)
+module H = Hashtbl.Make (String)
+
+type cell = { mutable v : Value.t }
+
+(* Undo entries name the key, never the cell: a journal recorded on one
+   image must revert any image holding the same bindings — the sanitizer
+   replays journals over a [copy] — and a cell belongs to exactly one. *)
+type undo_entry = Was of string * Value.t | Absent of string
 type undo = undo_entry list
 
-type t = {
-  tbl : (string, Value.t) Hashtbl.t;
-  mutable watch : undo_entry list ref option;
-}
+(* [log] collects the journal while [recording] is set. *)
+type t = { tbl : cell H.t; mutable recording : bool; mutable log : undo }
 
 let create bindings =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings;
-  { tbl; watch = None }
+  let tbl = H.create 64 in
+  List.iter (fun (k, v) -> H.replace tbl k { v }) bindings;
+  { tbl; recording = false; log = [] }
 
-let copy t = { tbl = Hashtbl.copy t.tbl; watch = None }
+let copy t =
+  let tbl = H.copy t.tbl in
+  H.filter_map_inplace (fun _ c -> Some { v = c.v }) tbl;
+  { tbl; recording = false; log = [] }
 
-let get t k = match Hashtbl.find_opt t.tbl k with Some v -> v | None -> Value.Nil
+let get t k = match H.find t.tbl k with c -> c.v | exception Not_found -> Value.Nil
+
+(* The entry is built only while recording. *)
+let journal_was t k prev = if t.recording then t.log <- Was (k, prev) :: t.log
+let journal_absent t k = if t.recording then t.log <- Absent k :: t.log
 
 let set t k v =
-  (match t.watch with
-  | Some log -> log := { u_key = k; u_prev = Hashtbl.find_opt t.tbl k } :: !log
-  | None -> ());
-  Hashtbl.replace t.tbl k v
+  match H.find t.tbl k with
+  | c ->
+    journal_was t k c.v;
+    c.v <- v
+  | exception Not_found ->
+    journal_absent t k;
+    H.add t.tbl k { v }
 
 let get_float t k = Value.to_float (get t k)
 let get_int t k = Value.to_int (get t k)
 
-let add t k delta =
-  let v = get_float t k in
-  set t k (Value.Float (v +. delta))
+let add_get t k delta =
+  match H.find t.tbl k with
+  | c ->
+    let v = Value.Float (Value.to_float c.v +. delta) in
+    journal_was t k c.v;
+    c.v <- v;
+    v
+  | exception Not_found ->
+    (* A missing key reads as 0. *)
+    let v = Value.Float (0.0 +. delta) in
+    journal_absent t k;
+    H.add t.tbl k { v };
+    v
+
+let add t k delta = ignore (add_get t k delta)
 
 let append t k v = set t k (Value.List (v :: Value.to_list (get t k)))
 
-(* lint: allow hashtbl-fold — key collection; callers sort before iterating *)
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl []
+(* Unordered (bucket order); callers sort before iterating. *)
+let keys t = H.fold (fun k _ acc -> k :: acc) t.tbl []
 
 (* Every mutation inside [f] is journalled; the returned undo record reverts
    them all (see {!revert}).  Recordings do not nest. *)
 let recording t f =
-  assert (t.watch = None);
-  let log = ref [] in
-  t.watch <- Some log;
+  assert (not t.recording);
+  t.recording <- true;
   match f () with
   | result ->
-    t.watch <- None;
-    (result, !log)
+    let u = t.log in
+    t.recording <- false;
+    t.log <- [];
+    (result, u)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    t.watch <- None;
+    t.recording <- false;
+    t.log <- [];
     Printexc.raise_with_backtrace e bt
 
 (* The journal holds entries newest first, and each entry stores the binding
    before its own mutation, so replaying the journal in list order restores
-   the pre-recording state — even with repeated writes to one key. *)
+   the pre-recording state — even with repeated writes to one key.  Each
+   entry is resolved by key in [t], whichever image recorded it. *)
 let revert t (u : undo) =
   List.iter
-    (fun { u_key; u_prev } ->
-      match u_prev with
-      | Some v -> Hashtbl.replace t.tbl u_key v
-      | None -> Hashtbl.remove t.tbl u_key)
+    (function
+      | Was (k, v) -> (
+        match H.find t.tbl k with
+        | c -> c.v <- v
+        | exception Not_found -> H.add t.tbl k { v })
+      | Absent k -> H.remove t.tbl k)
     u
 
 exception Unequal
@@ -66,15 +103,11 @@ let equal a b =
      on the other still compares equal.  Short-circuits on first mismatch. *)
   let subset x y =
     try
-      (* lint: allow hashtbl-iter — membership test, order-independent *)
-      Hashtbl.iter
-        (fun k v ->
-          let w = match Hashtbl.find_opt y.tbl k with Some w -> w | None -> Value.Nil in
-          if not (Value.equal v w) then raise Unequal)
-        x.tbl;
+      (* Membership test, order-independent. *)
+      H.iter (fun k c -> if not (Value.equal c.v (get y k)) then raise Unequal) x.tbl;
       true
     with Unequal -> false
   in
   subset a b && subset b a
 
-let size t = Hashtbl.length t.tbl
+let size t = H.length t.tbl

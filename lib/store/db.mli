@@ -5,7 +5,20 @@
     writes.  Rollback of tentative writes works by journalling each write's
     mutations as it is applied ({!recording}) and replaying the journal
     backwards ({!revert}) — so a rollback costs the size of the undone suffix,
-    not of the whole image. *)
+    not of the whole image.
+
+    Contract:
+    - each key is one mutable cell, so {!get}, {!set}, {!add} and
+      {!add_get} cost one hash lookup each;
+    - {!copy} copies every cell: mutating either image afterwards never
+      shows through in the other;
+    - an undo record names keys, not cells, so it may be reverted over any
+      image holding the bindings it was recorded against (the sanitizer
+      reverts journals over a {!copy}), and reverting it touches only that
+      image;
+    - {!keys} lists keys in the bucket order of a generic
+      [(string, _) Hashtbl.t] given the same operations (unspecified, but
+      deterministic). *)
 
 type t
 
@@ -26,6 +39,9 @@ val get_int : t -> string -> int
 val add : t -> string -> float -> unit
 (** Numeric increment; missing keys start at 0. *)
 
+val add_get : t -> string -> float -> Value.t
+(** {!add}, returning the value it stored. *)
+
 val append : t -> string -> Value.t -> unit
 (** Add to the list at [key]; missing keys start as [].  Lists are kept
     newest-first (constant-time add); readers see the most recent element at
@@ -45,4 +61,5 @@ val recording : t -> (unit -> 'a) -> 'a * undo
 
 val revert : t -> undo -> unit
 (** Revert the mutations captured by a {!recording}.  Undo records must be
-    reverted newest-recording-first to restore a past state. *)
+    reverted newest-recording-first to restore a past state.  A key the
+    recording created is removed again (it leaves {!keys}). *)

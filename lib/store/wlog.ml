@@ -79,10 +79,10 @@ type t = {
          [trunc_vec.(o)+1 .. vector.(o)] — which makes serving a version
          vector a k-way merge over array slices instead of per-(origin,seq)
          hash probes. *)
-  pending : (Write.id, Write.t) Hashtbl.t; (* per-origin sequence gaps *)
-  values : (string, float) Hashtbl.t; (* conit -> accumulated nweight *)
-  committed_values : (string, float) Hashtbl.t;
-  tent_oweights : (string, float) Hashtbl.t; (* conit -> tentative oweight *)
+  pending : Write.t Write.Id_tbl.t; (* per-origin sequence gaps *)
+  values : Tally.t; (* conit -> accumulated nweight *)
+  committed_values : Tally.t;
+  tent_oweights : Tally.t; (* conit -> tentative oweight *)
   mutable nrollbacks : int;
   mutable shadow_vector : Version_vector.t option;
       (* last vector seen by the sanitizer, for monotonicity (sanitize only) *)
@@ -107,23 +107,16 @@ let create_bounded ~journal ~evict_outcomes ~replicas ~initial =
     index = Array.init replicas (fun _ -> { ibase = 0; islots = Deque.create () });
     nresident = 0;
     by_origin = Array.init replicas (fun _ -> Deque.create ());
-    pending = Hashtbl.create 8;
-    values = Hashtbl.create 16;
-    committed_values = Hashtbl.create 16;
-    tent_oweights = Hashtbl.create 16;
+    pending = Write.Id_tbl.create 8;
+    values = Tally.create 16;
+    committed_values = Tally.create 16;
+    tent_oweights = Tally.create 16;
     nrollbacks = 0;
     shadow_vector = None;
   }
 
 let create ~replicas ~initial =
   create_bounded ~journal:true ~evict_outcomes:false ~replicas ~initial
-
-let htbl_add tbl key delta =
-  let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0 in
-  Hashtbl.replace tbl key (v +. delta)
-
-let htbl_get tbl key =
-  match Hashtbl.find_opt tbl key with Some v -> v | None -> 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Slot index primitives                                               *)
@@ -283,19 +276,17 @@ let invariant_violations t =
   done;
   (* Weight accounting: the incremental conit-value and order-weight tallies
      must agree with a recount of the tentative suffix. *)
-  let tent_n = Hashtbl.create 16 and tent_o = Hashtbl.create 16 in
+  let tent_n = Tally.create 16 and tent_o = Tally.create 16 in
   Deque.iter
     (fun (w : Write.t) ->
       List.iter
         (fun { Write.conit; nweight; oweight } ->
-          htbl_add tent_n conit nweight;
-          htbl_add tent_o conit oweight)
+          Tally.add tent_n conit nweight;
+          Tally.add tent_o conit oweight)
         w.affects)
     t.tent;
-  let keys tbl =
-    (* lint: allow hashtbl-fold — key collection, sorted before use *)
-    Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-  in
+  (* Key collection, sorted before use. *)
+  let keys tally = Tally.fold (fun k _ acc -> k :: acc) tally [] in
   let conits =
     List.sort_uniq String.compare
       (keys t.values @ keys t.committed_values @ keys tent_n @ keys t.tent_oweights)
@@ -303,13 +294,13 @@ let invariant_violations t =
   let close a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs a +. Float.abs b) in
   List.iter
     (fun c ->
-      let expect = htbl_get t.committed_values c +. htbl_get tent_n c in
-      if not (close (htbl_get t.values c) expect) then
+      let expect = Tally.get t.committed_values c +. Tally.get tent_n c in
+      if not (close (Tally.get t.values c) expect) then
         addf "conit %S value tally %g diverges from recount %g" c
-          (htbl_get t.values c) expect;
-      if not (close (htbl_get t.tent_oweights c) (htbl_get tent_o c)) then
+          (Tally.get t.values c) expect;
+      if not (close (Tally.get t.tent_oweights c) (Tally.get tent_o c)) then
         addf "conit %S tentative order weight %g diverges from recount %g" c
-          (htbl_get t.tent_oweights c) (htbl_get tent_o c))
+          (Tally.get t.tent_oweights c) (Tally.get tent_o c))
     conits;
   (* Undo round-trip: replaying every journal entry newest-first over a copy
      of the full image must restore the committed image exactly. *)
@@ -354,8 +345,8 @@ let register t (w : Write.t) =
   Version_vector.set t.vector w.id.origin w.id.seq;
   List.iter
     (fun { Write.conit; nweight; oweight } ->
-      htbl_add t.values conit nweight;
-      htbl_add t.tent_oweights conit oweight)
+      Tally.add t.values conit nweight;
+      Tally.add t.tent_oweights conit oweight)
     w.affects
 
 (* Apply one tentative write to the full image, journalling its mutations so
@@ -432,16 +423,20 @@ let known t id =
 
 (* Drain the pending buffer for an origin after its gap filled.  Each drained
    write must be registered before looking for the next one — registration is
-   what advances the vector the lookup keys on. *)
+   what advances the vector the lookup keys on.  An empty buffer (the common
+   case: no gap was ever seen) returns without building a lookup key. *)
 let rec drain_pending t origin acc minpos =
-  let id = { Write.origin; seq = next_seq t origin } in
-  match Hashtbl.find_opt t.pending id with
-  | None -> (List.rev acc, minpos)
-  | Some w ->
-    Hashtbl.remove t.pending id;
-    register t w;
-    let pos = insert_tent t w in
-    drain_pending t origin (w :: acc) (min minpos pos)
+  if Write.Id_tbl.length t.pending = 0 then (List.rev acc, minpos)
+  else begin
+    let id = { Write.origin; seq = next_seq t origin } in
+    match Write.Id_tbl.find_opt t.pending id with
+    | None -> (List.rev acc, minpos)
+    | Some w ->
+      Write.Id_tbl.remove t.pending id;
+      register t w;
+      let pos = insert_tent t w in
+      drain_pending t origin (w :: acc) (min minpos pos)
+  end
 
 (* Insert a fresh write plus whatever its arrival releases from the pending
    buffer; returns the fresh writes (oldest first) and the minimum insertion
@@ -456,7 +451,7 @@ let insert_positions t (w : Write.t) =
 let insert t (w : Write.t) =
   if known t w.id then Duplicate
   else if w.id.seq > next_seq t w.id.origin then begin
-    Hashtbl.replace t.pending w.id w;
+    Write.Id_tbl.replace t.pending w.id w;
     Buffered
   end
   else begin
@@ -490,7 +485,7 @@ let insert_batch t ws =
     (fun (w : Write.t) ->
       if known t w.id then ()
       else if w.id.seq > next_seq t w.id.origin then
-        Hashtbl.replace t.pending w.id w
+        Write.Id_tbl.replace t.pending w.id w
       else begin
         let new_writes, mp = insert_positions t w in
         minpos := min !minpos mp;
@@ -650,8 +645,8 @@ let commit_one t (w : Write.t) =
   t.ncommitted <- t.ncommitted + 1;
   List.iter
     (fun { Write.conit; nweight; oweight } ->
-      htbl_add t.committed_values conit nweight;
-      htbl_add t.tent_oweights conit (-.oweight))
+      Tally.add t.committed_values conit nweight;
+      Tally.add t.tent_oweights conit (-.oweight))
     w.affects
 
 (* A tentative write is stable when no origin can still produce a write that
@@ -676,24 +671,27 @@ let commit_stable t ~cover =
      per-origin scan would make committing O(origins) per write, which
      dominates large-replica runs (E22); exact ties (timestamp equal to the
      effective minimum) defer to the precise tie-breaking rule. *)
+  (* A plain loop keeps these refs local, so the compiler holds them in
+     registers instead of allocating cells and boxing every float update. *)
   let min1 = ref infinity and min2 = ref infinity in
   let argmin = ref (-1) and nmin = ref 0 in
-  Array.iteri
-    (fun o c ->
-      if c < !min1 then begin
-        min2 := !min1;
-        min1 := c;
-        argmin := o;
-        nmin := 1
-      end
-      else if c = !min1 then begin
-        incr nmin;
-        min2 := c
-      end
-      else if c < !min2 then min2 := c)
-    cover;
+  for o = 0 to Array.length cover - 1 do
+    let c = cover.(o) in
+    if c < !min1 then begin
+      min2 := !min1;
+      min1 := c;
+      argmin := o;
+      nmin := 1
+    end
+    else if c = !min1 then begin
+      incr nmin;
+      min2 := c
+    end
+    else if c < !min2 then min2 := c
+  done;
+  let min1 = !min1 and min2 = !min2 and argmin = !argmin and nmin = !nmin in
   let stable_fast (w : Write.t) =
-    let m = if !argmin = w.id.origin && !nmin = 1 then !min2 else !min1 in
+    let m = if argmin = w.id.origin && nmin = 1 then min2 else min1 in
     if w.accept_time < m then true
     else if w.accept_time > m then false
     else stable ~cover w
@@ -755,14 +753,14 @@ let commit_ids t ids =
   if !n > 0 then sanitize ~ctx:"wlog.commit_ids" t;
   !n
 
-let tentative_oweight t conit = htbl_get t.tent_oweights conit
+let tentative_oweight t conit = Tally.get t.tent_oweights conit
 
 let tentative_max_oweight t =
-  (* lint: allow hashtbl-fold — max over values, order-independent *)
-  Hashtbl.fold (fun _ v acc -> Float.max v acc) t.tent_oweights 0.0
+  (* Max over values, order-independent. *)
+  Tally.fold (fun _ v acc -> Float.max v acc) t.tent_oweights 0.0
 
-let conit_value t conit = htbl_get t.values conit
-let committed_conit_value t conit = htbl_get t.committed_values conit
+let conit_value t conit = Tally.get t.values conit
+let committed_conit_value t conit = Tally.get t.committed_values conit
 
 let outcome t id = match slot_find t id with Some s -> s.s_outcome | None -> None
 let final_outcome t id = match slot_find t id with Some s -> s.s_final | None -> None
@@ -842,8 +840,8 @@ let snapshot t =
     snap_vector = Version_vector.copy t.committed_vec;
     snap_ncommitted = t.ncommitted;
     snap_values =
-      (* lint: allow hashtbl-fold — sorted below for a deterministic wire image *)
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.committed_values []
+      (* Sorted below for a deterministic wire image. *)
+      Tally.fold (fun k v acc -> (k, v) :: acc) t.committed_values []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
@@ -885,8 +883,8 @@ let install_snapshot t snap =
         end)
       t.committed;
     Deque.clear t.committed;
-    Hashtbl.reset t.committed_values;
-    List.iter (fun (k, v) -> Hashtbl.replace t.committed_values k v) snap.snap_values;
+    Tally.reset t.committed_values;
+    List.iter (fun (k, v) -> Tally.set t.committed_values k v) snap.snap_values;
     (* Tentative writes the snapshot covers were committed remotely — drop
        them (their final outcomes are not locally recoverable); keep and
        replay the rest. *)
@@ -924,29 +922,29 @@ let install_snapshot t snap =
         let cover = Version_vector.get snap.snap_vector o in
         if Deque.is_empty oi.islots && oi.ibase < cover then oi.ibase <- cover
       done;
-    Hashtbl.reset t.tent_oweights;
-    Hashtbl.reset t.values;
-    (* lint: allow hashtbl-iter — table copy, order-independent *)
-    Hashtbl.iter (fun k v -> Hashtbl.replace t.values k v) t.committed_values;
+    Tally.reset t.tent_oweights;
+    Tally.reset t.values;
+    (* Table copy, order-independent. *)
+    Tally.iter (Tally.set t.values) t.committed_values;
     Deque.iter
       (fun (w : Write.t) ->
         List.iter
           (fun { Write.conit; nweight; oweight } ->
-            htbl_add t.values conit nweight;
-            htbl_add t.tent_oweights conit oweight)
+            Tally.add t.values conit nweight;
+            Tally.add t.tent_oweights conit oweight)
           w.affects)
       t.tent;
     (* Drop pending-buffer entries the snapshot already covers. *)
     let stale =
-      (* lint: allow hashtbl-fold — collecting keys to remove, order-independent *)
-      Hashtbl.fold
+      (* Collecting keys to remove, order-independent. *)
+      Write.Id_tbl.fold
         (fun id _ acc ->
           if Version_vector.covers snap.snap_vector ~origin:id.Write.origin ~seq:id.Write.seq
           then id :: acc
           else acc)
         t.pending []
     in
-    List.iter (Hashtbl.remove t.pending) stale;
+    List.iter (Write.Id_tbl.remove t.pending) stale;
     t.nrollbacks <- t.nrollbacks + 1;
     rebuild t;
     sanitize ~ctx:"wlog.install_snapshot" t;

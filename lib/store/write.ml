@@ -23,6 +23,16 @@ let compare_id a b =
 
 let id_to_string id = Printf.sprintf "w%d.%d" id.origin id.seq
 
+module Id_tbl = Hashtbl.Make (struct
+  type t = id
+
+  let equal a b = a.origin = b.origin && a.seq = b.seq
+
+  (* An odd multiplier keeps consecutive seqs of one origin in distinct
+     buckets of any power-of-two table. *)
+  let hash a = (a.seq * 65599) + a.origin
+end)
+
 let ts_compare a b =
   match Float.compare a.accept_time b.accept_time with
   | 0 -> compare_id a.id b.id

@@ -26,6 +26,11 @@ val make : id:id -> accept_time:float -> op:Op.t -> affects:weight list -> t
 val compare_id : id -> id -> int
 val id_to_string : id -> string
 
+module Id_tbl : Hashtbl.S with type key = id
+(** Tables keyed by write id, with a monomorphic equality and an integer
+    hash: no polymorphic hash or compare walks the key record.  Iteration
+    order is unspecified. *)
+
 val ts_compare : t -> t -> int
 (** Total order by (accept_time, origin, seq) — the canonical, external- and
     causal-order-compatible global order used both by the stability

@@ -6,64 +6,91 @@ let feq ?(eps = 1e-9) a b = Float.abs (a -. b) < eps
 
 (* --- heap ----------------------------------------------------------- *)
 
+(* Pop every entry, returning (time, seq, value) in pop order. *)
+let drain_heap h =
+  let acc = ref [] in
+  while not (Heap.is_empty h) do
+    let time = Heap.min_time h and seq = Heap.min_seq h in
+    let v = Heap.pop_min h in
+    acc := (time, seq, v) :: !acc
+  done;
+  List.rev !acc
+
 let test_heap_order () =
   let h = Heap.create () in
   List.iteri
     (fun i t -> Heap.push h ~time:t ~seq:i i)
     [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (t, _, _) ->
-      order := t :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
   Alcotest.(check (list (float 1e-9))) "ascending" [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
-    (List.rev !order)
+    (List.map (fun (t, _, _) -> t) (drain_heap h))
 
 let test_heap_tiebreak () =
   let h = Heap.create () in
   for i = 0 to 9 do
     Heap.push h ~time:1.0 ~seq:i i
   done;
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
   Alcotest.(check (list int)) "fifo among ties" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !order)
+    (List.map (fun (_, _, v) -> v) (drain_heap h))
 
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "pop_min raises" true (raises (fun () -> Heap.pop_min h));
+  Alcotest.(check bool) "min_time raises" true (raises (fun () -> Heap.min_time h));
+  Alcotest.(check bool) "min_seq raises" true (raises (fun () -> Heap.min_seq h))
 
+(* Pushes and pops interleaved against a sorted-list model.  Times come
+   from a small range so equal times (broken by seq) are common.  After
+   every step the heap's minimum key, size and [iter] view must match the
+   model's live set, and each pop must return the model's first entry.  A
+   step below 20 pushes; the rest (about a third) pop. *)
 let test_heap_random_drain_sorted =
   let prop =
     QCheck.Test.make ~name:"heap drains sorted" ~count:200
-      QCheck.(list (pair (float_bound_exclusive 1000.0) small_nat))
-      (fun entries ->
+      QCheck.(list_of_size Gen.(0 -- 300) (int_bound 29))
+      (fun steps ->
         let h = Heap.create () in
-        List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
-        let rec drain acc =
-          match Heap.pop h with
-          | Some (t, _, _) -> drain (t :: acc)
-          | None -> List.rev acc
+        let model = ref [] in
+        let key_lt (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2) in
+        let insert e =
+          let rec go = function
+            | [] -> [ e ]
+            | x :: rest as l -> if key_lt e x then e :: l else x :: go rest
+          in
+          model := go !model
         in
-        let times = drain [] in
-        let rec sorted = function
-          | a :: (b :: _ as tl) -> a <= b && sorted tl
-          | _ -> true
+        let ok = ref true in
+        let expect b = if not b then ok := false in
+        let check_live () =
+          expect (Heap.size h = List.length !model);
+          let seen = ref [] in
+          Heap.iter (fun ~time ~seq v -> seen := (time, seq, v) :: !seen) h;
+          expect (List.sort compare !seen = List.sort compare !model);
+          match !model with
+          | [] -> expect (Heap.is_empty h)
+          | (t, s, _) :: _ ->
+            expect (Heap.min_time h = t);
+            expect (Heap.min_seq h = s)
         in
-        sorted times && List.length times = List.length entries)
+        List.iteri
+          (fun seq st ->
+            (if st < 20 then begin
+               let time = float_of_int (st mod 7) in
+               Heap.push h ~time ~seq st;
+               insert (time, seq, st)
+             end
+             else
+              match !model with
+              | [] -> ()
+              | (_, _, v) :: rest ->
+                expect (Heap.pop_min h = v);
+                model := rest);
+            check_live ())
+          steps;
+        (* Whatever is left drains in model order. *)
+        expect (drain_heap h = !model);
+        !ok)
   in
   QCheck_alcotest.to_alcotest prop
 

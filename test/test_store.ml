@@ -139,10 +139,43 @@ let test_db_append_newest_first () =
     (Value.equal (Db.get db "l") (Value.List [ Value.Int 2; Value.Int 1 ]))
 
 let test_db_copy_isolated () =
+  let v = Alcotest.testable (fun ppf x -> Format.pp_print_string ppf (Value.to_string x)) Value.equal in
   let db = Db.create [ ("a", Value.Int 1) ] in
   let cp = Db.copy db in
   Db.set db "a" (Value.Int 9);
-  Alcotest.(check bool) "copy unaffected" true (Value.equal (Db.get cp "a") (Value.Int 1))
+  Alcotest.(check v) "copy unaffected" (Value.Int 1) (Db.get cp "a");
+  (* The other direction: the copy owns its cells too. *)
+  let cp2 = Db.copy db in
+  Db.set cp2 "a" (Value.Int 5);
+  Db.add cp2 "b" 2.0;
+  Alcotest.(check v) "original unaffected by copy's set" (Value.Int 9) (Db.get db "a");
+  Alcotest.(check v) "original unaffected by copy's add" Value.Nil (Db.get db "b");
+  (* A journal recorded on one image, reverted over its copy, restores the
+     copy and leaves the recording image as it is (the sanitizer's undo
+     round-trip audit relies on this). *)
+  let img = Db.create [ ("x", Value.Int 1); ("y", Value.Float 2.0) ] in
+  let (), undo =
+    Db.recording img (fun () ->
+        Db.set img "x" (Value.Int 7);
+        Db.add img "y" 3.0;
+        Db.add img "y" 1.0;
+        Db.set img "fresh" (Value.Str "new"))
+  in
+  let replay = Db.copy img in
+  Db.revert replay undo;
+  Alcotest.(check v) "copy: x restored" (Value.Int 1) (Db.get replay "x");
+  Alcotest.(check v) "copy: y restored" (Value.Float 2.0) (Db.get replay "y");
+  Alcotest.(check (list string)) "copy: fresh key gone" [ "x"; "y" ]
+    (List.sort String.compare (Db.keys replay));
+  Alcotest.(check v) "original: x kept" (Value.Int 7) (Db.get img "x");
+  Alcotest.(check v) "original: y kept" (Value.Float 6.0) (Db.get img "y");
+  Alcotest.(check v) "original: fresh kept" (Value.Str "new") (Db.get img "fresh");
+  (* Reverting on the recording image itself removes the fresh key too. *)
+  Db.revert img undo;
+  Alcotest.(check (list string)) "fresh key reverted away" [ "x"; "y" ]
+    (List.sort String.compare (Db.keys img));
+  Alcotest.(check bool) "image restored" true
+    (Db.equal img (Db.create [ ("x", Value.Int 1); ("y", Value.Float 2.0) ]))
 
 let test_db_equal () =
   let a = Db.create [ ("x", Value.Int 1) ] in
