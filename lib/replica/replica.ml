@@ -77,17 +77,44 @@ and pkind =
   | Pread of (Db.t -> Value.t) * (Value.t -> unit)
   | Pwrite of Op.t * Write.weight list * (Op.outcome -> unit)
 
+(* What an access observed when served: the version vector, the tentative
+   ids and the lazy full local order (see [capture_observation]). *)
+type observation = Version_vector.t * Write.id list * Write.id list Lazy.t
+
+(* Stands in for a vector nobody reads. *)
+let no_vector = Version_vector.create 0
+
+(* The one observation of every access served while records are off: such
+   records are discarded, so nothing is captured. *)
+let no_observation : observation = (no_vector, [], lazy [])
+
 (* A write accepted but not yet returned to its client — because the NE
    budget demands that some peers acknowledge older writes first, or because
    a zero order-error dependency makes the write commit-synchronous: the
    paper defines a write's actual result as its return value when finally
-   committed, so a strong write may only return the committed outcome. *)
+   committed, so a strong write may only return the committed outcome.  Its
+   access record is built from [u_pending], [u_obs] and [u_serve] when it
+   returns, and only while records are on. *)
 type unreturned = {
   u_write : Write.t;
   u_outcome : Op.outcome;  (* tentative outcome at acceptance *)
   u_wait_commit : bool;
-  u_record : float -> Op.outcome -> Access.t;
+  u_pending : pending;
+  u_obs : observation;
+  u_serve : float;
   u_k : Op.outcome -> unit;
+}
+
+(* The NE budget bookkeeping of one conit, indexed by peer: [weights.(j)] is
+   the |nweight| of this replica's accepted writes not yet confirmed at peer
+   [j], and [touched.(j)] says whether the pair has ever been accounted —
+   the state is created on demand, and E8 counts the touched pairs.  The
+   conit's declaration (fixed for the replica's life) is looked up once, when
+   the entry is created. *)
+type outstanding = {
+  decl : Conit.t option;
+  weights : float array;
+  touched : bool array;
 }
 
 type stats = {
@@ -115,18 +142,22 @@ type t = {
                             time <= cover.(o) are known here *)
   acked : Version_vector.t array;  (** acked.(j): writes confirmed present at j *)
   acked_csn : int array;
-  outstanding : Tally.t array;
-      (** per peer: conit -> |nweight| of own accepted writes not yet
-          confirmed at that peer *)
+  confirmed : int array;
+      (** confirmed.(j) = acked.(j).(rid), the own writes peer [j] confirms,
+          kept beside [acked] so budget accounting reads one small array
+          rather than every peer's vector *)
+  outstanding : outstanding Stbl.t;
+      (** per conit: outstanding weights and touched flags, indexed by peer *)
   sub_ptr : int array;  (** per peer: own seq up to which outstanding has been
                             released *)
   own_writes : Write.t Vec.t;
   csn : Csn_buffer.t;
   mutable csn_committed : int;
   in_csn : unit Write.Id_tbl.t;  (** primary only *)
-  mutable rate_ewma : float;
-  mutable last_rate_update : float;
+  last_rate_update : float array;
+      (** one cell: an unboxed store per write *)
   rates : float array;
+      (** believed write rates; [rates.(rid)] is this replica's own EWMA *)
   mutable pending : pending Queue.t;  (** oldest first *)
   mutable npending : int;  (** live (not [p_done]) entries in [pending] *)
   return_queue : unreturned Queue.t;  (** oldest first *)
@@ -144,6 +175,9 @@ type t = {
       (* reusable encode arena for batched sync: cleared and refilled once
          per outgoing frame, so steady state allocates nothing *)
   dirty : bool array;  (* per peer: a coalesced batch flush is scheduled *)
+  cover_scratch : float array;
+      (* the cover passed to stability commitment, refilled per call *)
+  over_scratch : bool array;  (* per peer: [over_budget_peers]' verdicts *)
   (* stats *)
   mutable s_pushes_budget : int;
   mutable s_pulls_ne : int;
@@ -173,14 +207,14 @@ let make ~id ~n ~tr ~config ?on_accept () =
     cover = Array.make n 0.0;
     acked = Array.init n (fun _ -> Version_vector.create n);
     acked_csn = Array.make n 0;
-    outstanding = Array.init n (fun _ -> Tally.create 8);
+    confirmed = Array.make n 0;
+    outstanding = Stbl.create 8;
     sub_ptr = Array.make n 0;
     own_writes = Vec.create ();
     csn = Csn_buffer.create ();
     csn_committed = 0;
     in_csn = Write.Id_tbl.create 64;
-    rate_ewma = 0.0;
-    last_rate_update = 0.0;
+    last_rate_update = [| 0.0 |];
     rates = Array.make n 0.0;
     pending = Queue.create ();
     npending = 0;
@@ -200,6 +234,8 @@ let make ~id ~n ~tr ~config ?on_accept () =
     retry_running = false;
     frame = Codec.Frame.create ();
     dirty = Array.make n false;
+    cover_scratch = Array.make n 0.0;
+    over_scratch = Array.make n false;
     s_pushes_budget = 0;
     s_pulls_ne = 0;
     s_pulls_oe = 0;
@@ -256,6 +292,10 @@ let trace t ~kind fmt =
           ~source:(Printf.sprintf "replica %d" t.rid) ~kind detail)
       fmt
 
+(* Guards trace sites on the access paths, whose arguments cost something
+   to build even when [trace] would discard them. *)
+let tracing t = Option.is_some t.cfg.Config.trace
+
 let id t = t.rid
 let log t = t.wlog
 let db t = Wlog.db t.wlog
@@ -264,7 +304,10 @@ let records t = t.records
 let pending_count t = t.npending
 
 let bookkeeping_entries t =
-  Array.fold_left (fun acc tally -> acc + Tally.length tally) 0 t.outstanding
+  Stbl.fold
+    (fun _ e acc ->
+      Array.fold_left (fun acc touched -> if touched then acc + 1 else acc) acc e.touched)
+    t.outstanding 0
 
 (* Replica-level invariant audit (TACT_SANITIZE checking mode): execution
    state that sits above the write log — cover times, parked-access
@@ -294,6 +337,19 @@ let sanity_check t =
           addf "sub_ptr.(%d) = %d is beyond the own-write count (%d)" j sp
             (Vec.length t.own_writes))
       t.sub_ptr;
+    Array.iteri
+      (fun j c ->
+        let acked = Version_vector.get t.acked.(j) t.rid in
+        if c <> acked then addf "confirmed.(%d) = %d but acked.(%d) holds %d" j c j acked)
+      t.confirmed;
+    Stbl.iter
+      (fun conit e ->
+        Array.iteri
+          (fun j touched ->
+            if (not touched) && not (Float.equal e.weights.(j) 0.0) then
+              addf "conit %S peer %d: untouched weight %g" conit j e.weights.(j))
+          e.touched)
+      t.outstanding;
     Sanitize.report ~ctx (List.rev !bad);
     Wlog.sanitize ~ctx t.wlog
   end
@@ -380,7 +436,7 @@ and snapshot_msg t ~round =
       writes = Wlog.writes_since t.wlog snap.Wlog.snap_vector;
       vector = Version_vector.copy (Wlog.vector t.wlog);
       cover = my_cover t;
-      rate = t.rate_ewma;
+      rate = t.rates.(t.rid);
       round;
     }
 
@@ -395,7 +451,7 @@ and make_transfer t ~dst ~kind =
         cover = my_cover t;
         csn_start = t.acked_csn.(dst);
         csn = Csn_buffer.slice_from t.csn t.acked_csn.(dst);
-        rate = t.rate_ewma;
+        rate = t.rates.(t.rid);
         kind;
       }
 
@@ -418,7 +474,7 @@ and make_batch t ~peer_vector ~csn_start ~kind =
           cover = my_cover t;
           csn_start;
           csn = Csn_buffer.slice_from t.csn csn_start;
-          rate = t.rate_ewma;
+          rate = t.rates.(t.rid);
           payload;
         })
   in
@@ -465,82 +521,120 @@ and transfer_reply t ~req_vector ~csn_known ~round =
         cover = my_cover t;
         csn_start = csn_known;
         csn = Csn_buffer.slice_from t.csn csn_known;
-        rate = t.rate_ewma;
+        rate = t.rates.(t.rid);
         kind = `Pull_reply round;
       }
 
 (* ------------------------------------------------------------------ *)
 (* Budget bookkeeping                                                  *)
 
-(* An undeclared conit has no standing NE bound (both bounds infinite). *)
-and declared t conit_name = Stbl.find_opt t.conit_decls conit_name
+(* The conit's absolute system-wide NE bound, which receivers' shares split;
+   relative bounds are converted with a conservative local estimate of the
+   conit's value.  An undeclared conit has no standing NE bound. *)
+and ne_abs_bound t e conit_name =
+  match e.decl with
+  | None -> infinity
+  | Some c ->
+    if Float.equal c.Conit.ne_rel_bound infinity then c.Conit.ne_bound
+    else begin
+      (* Conservative value estimate: the committed value minus everything
+         still in flight could be lower, but for the monotone workloads the
+         relative bound targets (counters, seat pools) the local full view
+         is the estimate the TACT prototype uses. *)
+      let v = Float.abs (c.Conit.initial_value +. Wlog.conit_value t.wlog conit_name) in
+      Float.min c.Conit.ne_bound (c.Conit.ne_rel_bound *. v)
+    end
 
-(* The absolute share of a receiver's NE budget this replica may consume for
-   a conit; relative bounds are converted with a conservative local estimate
-   of the conit's value. *)
-and share_for t ~receiver conit_name =
-  let abs_bound =
-    match declared t conit_name with
-    | None -> infinity
-    | Some c ->
-      if Float.equal c.Conit.ne_rel_bound infinity then c.Conit.ne_bound
-      else begin
-        (* Conservative value estimate: the committed value minus everything
-           still in flight could be lower, but for the monotone workloads the
-           relative bound targets (counters, seat pools) the local full view
-           is the estimate the TACT prototype uses. *)
-        let v = Float.abs (c.Conit.initial_value +. Wlog.conit_value t.wlog conit_name) in
-        Float.min c.Conit.ne_bound (c.Conit.ne_rel_bound *. v)
-      end
-  in
-  if Float.equal abs_bound infinity then infinity
-  else
-    Budget.share t.cfg.Config.budget_policy ~bound:abs_bound ~n:t.n ~self:t.rid
-      ~receiver ~rates:t.rates
+and outstanding_entry t conit_name =
+  match Stbl.find t.outstanding conit_name with
+  | e -> e
+  | exception Not_found ->
+    let e =
+      {
+        decl = Stbl.find_opt t.conit_decls conit_name;
+        weights = Array.make t.n 0.0;
+        touched = Array.make t.n false;
+      }
+    in
+    Stbl.add t.outstanding conit_name e;
+    e
+
+(* An untouched weight is 0.0, so a pair's first store is [0.0 +. delta],
+   as it was when each pair was a tally entry created on demand. *)
+and account e j delta =
+  e.weights.(j) <- e.weights.(j) +. delta;
+  e.touched.(j) <- true
 
 and add_outstanding t (w : Write.t) =
+  let seq = w.id.seq in
   for j = 0 to t.n - 1 do
-    if j <> t.rid then
-      if Version_vector.covers t.acked.(j) ~origin:t.rid ~seq:w.id.seq then
-        (* Already confirmed (the write round-tripped before acceptance —
-           possible when it was pushed ahead of its return). *)
-        (if t.sub_ptr.(j) = w.id.seq - 1 then t.sub_ptr.(j) <- w.id.seq)
-      else
-        List.iter
-          (fun { Write.conit; nweight; _ } ->
-            Tally.add t.outstanding.(j) conit (Float.abs nweight))
-          w.affects
-  done
+    (* Already confirmed (the write round-tripped before acceptance —
+       possible when it was pushed ahead of its return). *)
+    if j <> t.rid && t.confirmed.(j) >= seq && t.sub_ptr.(j) = seq - 1 then
+      t.sub_ptr.(j) <- seq
+  done;
+  add_weights t ~seq w.affects
+
+(* One conit lookup per affected conit; the peers that already confirm the
+   write are skipped. *)
+and add_weights t ~seq = function
+  | [] -> ()
+  | { Write.conit; nweight; _ } :: rest ->
+    let e = outstanding_entry t conit in
+    let delta = Float.abs nweight in
+    for j = 0 to t.n - 1 do
+      if j <> t.rid && t.confirmed.(j) < seq then account e j delta
+    done;
+    add_weights t ~seq rest
 
 and release_outstanding t ~peer =
   (* Advance sub_ptr.(peer) to what the peer now confirms, releasing budget. *)
-  let confirmed = Version_vector.get t.acked.(peer) t.rid in
-  let upto = min confirmed (Vec.length t.own_writes) in
+  let upto = min t.confirmed.(peer) (Vec.length t.own_writes) in
   while t.sub_ptr.(peer) < upto do
     let w = Vec.get t.own_writes t.sub_ptr.(peer) in
     t.sub_ptr.(peer) <- t.sub_ptr.(peer) + 1;
-    List.iter
-      (fun { Write.conit; nweight; _ } ->
-        Tally.add t.outstanding.(peer) conit (-.Float.abs nweight))
-      w.affects
+    release_weights t ~peer w.affects
   done
 
+and release_weights t ~peer = function
+  | [] -> ()
+  | { Write.conit; nweight; _ } :: rest ->
+    account (outstanding_entry t conit) peer (-.Float.abs nweight);
+    release_weights t ~peer rest
+
 (* Peers whose budget this replica currently exceeds for any conit the write
-   affects (empty = the write may return). *)
+   affects (empty = the write may return), in increasing order. *)
 and over_budget_peers t (w : Write.t) =
+  let over = t.over_scratch in
+  Array.fill over 0 t.n false;
+  mark_over_budget t over w.affects;
   let result = ref [] in
   for j = t.n - 1 downto 0 do
-    if j <> t.rid then
-      let over =
-        List.exists
-          (fun { Write.conit; nweight; _ } ->
-            (not (Float.equal nweight 0.0))
-            && Tally.get t.outstanding.(j) conit > share_for t ~receiver:j conit)
-          w.affects
-      in
-      if over then result := j :: !result
+    if over.(j) then result := j :: !result
   done;
   !result
+
+(* A receiver's share of an infinite bound is infinite, and no weight
+   exceeds it, so an unbounded conit is skipped. *)
+and mark_over_budget t over = function
+  | [] -> ()
+  | { Write.conit; nweight; _ } :: rest ->
+    if not (Float.equal nweight 0.0) then begin
+      let e = outstanding_entry t conit in
+      let bound = ne_abs_bound t e conit in
+      if not (Float.equal bound infinity) then begin
+        for j = 0 to t.n - 1 do
+          if
+            j <> t.rid
+            && (not over.(j))
+            && e.weights.(j)
+               > Budget.share t.cfg.Config.budget_policy ~bound ~n:t.n ~self:t.rid
+                   ~receiver:j ~rates:t.rates
+          then over.(j) <- true
+        done
+      end
+    end;
+    mark_over_budget t over rest
 
 (* ------------------------------------------------------------------ *)
 (* Commitment                                                          *)
@@ -548,8 +642,12 @@ and over_budget_peers t (w : Write.t) =
 and commit_progress t =
   (match t.cfg.Config.commit_scheme with
   | Config.Stability ->
-    let n = Wlog.commit_stable t.wlog ~cover:(my_cover t) in
-    if n > 0 then trace t ~kind:"commit" "%d writes (stability)" n
+    (* [my_cover] without its copy: the log reads the cover and keeps none
+       of it. *)
+    Array.blit t.cover 0 t.cover_scratch 0 t.n;
+    t.cover_scratch.(t.rid) <- now t;
+    let n = Wlog.commit_stable t.wlog ~cover:t.cover_scratch in
+    if n > 0 && tracing t then trace t ~kind:"commit" "%d writes (stability)" n
   | Config.Primary _ -> commit_progress_primary t);
   match t.cfg.Config.truncate_keep with
   | Some keep -> ignore (Wlog.truncate t.wlog ~keep)
@@ -591,9 +689,11 @@ and primary_assign t =
 and staleness_estimate t =
   if t.n = 1 then 0.0
   else begin
+    (* One clock reading: every peer's lag is measured at the same instant. *)
+    let nw = now t in
     let worst = ref 0.0 in
     for j = 0 to t.n - 1 do
-      if j <> t.rid then worst := Float.max !worst (now t -. t.cover.(j))
+      if j <> t.rid then worst := Float.max !worst (nw -. t.cover.(j))
     done;
     !worst
   end
@@ -601,11 +701,22 @@ and staleness_estimate t =
 (* Does a dep require a one-off pull round (NE tighter than the declared,
    proactively maintained bound)? *)
 and needs_ne_round t (conit_name, (b : Bounds.t)) =
-  match declared t conit_name with
-  | Some c -> b.ne < c.Conit.ne_bound || b.ne_rel < c.Conit.ne_rel_bound
-  | None -> b.ne < infinity || b.ne_rel < infinity
+  match Stbl.find t.conit_decls conit_name with
+  | c -> b.ne < c.Conit.ne_bound || b.ne_rel < c.Conit.ne_rel_bound
+  | exception Not_found -> b.ne < infinity || b.ne_rel < infinity
 
+and any_needs_ne_round t = function
+  | [] -> false
+  | dep :: rest -> needs_ne_round t dep || any_needs_ne_round t rest
+
+(* An access with no deps and no session vector is admissible at once:
+   every conjunct of [deps_admissible] is vacuous for it. *)
 and deps_satisfied t p =
+  match (p.p_deps, p.p_require) with
+  | [], None when not p.p_needs_round -> true
+  | _ -> deps_admissible t p
+
+and deps_admissible t p =
   let require_ok =
     match p.p_require with
     | None -> true
@@ -613,25 +724,25 @@ and deps_satisfied t p =
   in
   require_ok
   &&
-  let oe_ok =
-    (* [fault_oe_slack] is 0 in real configurations; the checker's mutation
-       tests raise it to plant an admission off-by-one here. *)
-    List.for_all
-      (fun (c, (b : Bounds.t)) ->
-        Wlog.tentative_oweight t.wlog c <= b.oe +. t.cfg.Config.fault_oe_slack)
-      p.p_deps
-  in
+  let oe_ok = oe_within t p.p_deps in
   (* A pull round completed after submission implies that every write
      returned before submission has been observed — hence both numerical
      error and staleness (measured at submission, per the model) are zero. *)
-  let st_ok =
-    p.p_round_done
-    ||
-    let est = staleness_estimate t in
-    List.for_all (fun (_, (b : Bounds.t)) -> est <= b.st) p.p_deps
-  in
+  let st_ok = p.p_round_done || st_within (staleness_estimate t) p.p_deps in
   let ne_ok = (not p.p_needs_round) || p.p_round_done in
   oe_ok && st_ok && ne_ok
+
+(* [fault_oe_slack] is 0 in real configurations; the checker's mutation
+   tests raise it to plant an admission off-by-one here. *)
+and oe_within t = function
+  | [] -> true
+  | (c, (b : Bounds.t)) :: rest ->
+    Wlog.tentative_oweight t.wlog c <= b.oe +. t.cfg.Config.fault_oe_slack
+    && oe_within t rest
+
+and st_within est = function
+  | [] -> true
+  | (_, (b : Bounds.t)) :: rest -> est <= b.st && st_within est rest
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
@@ -644,12 +755,12 @@ and deps_satisfied t p =
    (their deque mutates), so capture is O(tentative suffix) — on a replica
    that never commits, O(history).  Only simulated replicas record: live
    ones ([create_ext]) run with recording off. *)
-and capture_observation t =
+and capture_observation t : observation =
   if not t.cfg.Config.record_accesses then
     (* Records are discarded (see the guards at the record sites), so skip
        the vector copy, tentative-id walk and journal cursor — the cursor is
        unavailable anyway: the journal is kept only while recording. *)
-    (Version_vector.create 0, [], lazy [])
+    no_observation
   else begin
     let vector = Version_vector.copy (Wlog.vector t.wlog) in
     let tentative = Wlog.tentative_ids t.wlog in
@@ -678,7 +789,7 @@ and serve_read t p f k =
   let obs = capture_observation t in
   let result = f (Wlog.db t.wlog) in
   let nw = now t in
-  if nw > p.p_submit then
+  if nw > p.p_submit && tracing t then
     trace t ~kind:"served" "read after %.3fs wait" (nw -. p.p_submit);
   if t.cfg.Config.record_accesses then
     t.records <-
@@ -695,25 +806,26 @@ and serve_write t p op affects k =
   let obs = capture_observation t in
   let pre_vector =
     match t.on_accept with
-    | Some _ -> Some (Version_vector.copy (Wlog.vector t.wlog))
-    | None -> None
+    | Some _ -> Version_vector.copy (Wlog.vector t.wlog)
+    | None -> no_vector
   in
   let outcome = Wlog.accept t.wlog w in
-  trace t ~kind:"accept" "%t" (fun () -> Write.to_string w);
+  if tracing t then trace t ~kind:"accept" "%s" (Write.to_string w);
   Vec.push t.own_writes w;
   update_rate t;
   add_outstanding t w;
-  (match (t.on_accept, pre_vector) with
-  | Some f, Some v -> f w v
-  | _ -> ());
+  (match t.on_accept with Some f -> f w pre_vector | None -> ());
   (* Commitment may already be possible from local knowledge (the primary
      commits its own writes; a single-replica system is trivially covered). *)
   commit_progress t;
   let serve = now t in
   (* A zero order-error dependency makes the write commit-synchronous. *)
   let wait_commit =
-    List.exists (fun (_, (b : Bounds.t)) -> Float.equal b.oe 0.0) p.p_deps
-    && Wlog.final_outcome t.wlog w.id = None
+    match p.p_deps with
+    | [] -> false
+    | deps ->
+      List.exists (fun (_, (b : Bounds.t)) -> Float.equal b.oe 0.0) deps
+      && Wlog.final_outcome t.wlog w.id = None
   in
   let over = over_budget_peers t w in
   if over = [] && not wait_commit then begin
@@ -725,25 +837,26 @@ and serve_write t p op affects k =
     (* Push to the peers whose budget we exceed and return once acks bring us
        back inside every share (and, for commit-synchronous writes, once the
        write commits — driven by pulling covers from every peer). *)
-    List.iter
-      (fun j ->
-        t.s_pushes_budget <- t.s_pushes_budget + 1;
-        push_to t ~dst:j)
-      over;
+    push_budget t over;
     if wait_commit then
       for j = 0 to t.n - 1 do
         if j <> t.rid then send_pull t ~dst:j ~round:0
       done;
     Queue.push
       { u_write = w; u_outcome = outcome; u_wait_commit = wait_commit;
-        u_record = write_record t p w ~obs ~serve; u_k = k }
+        u_pending = p; u_obs = obs; u_serve = serve; u_k = k }
       t.return_queue;
     ensure_retry t
   end
 
-(* The access record of a served write, completed when it returns.  A named
-   function rather than a local closure, so a write that returns at once
-   builds no closure. *)
+and push_budget t = function
+  | [] -> ()
+  | j :: rest ->
+    t.s_pushes_budget <- t.s_pushes_budget + 1;
+    push_to t ~dst:j;
+    push_budget t rest
+
+(* The access record of a served write, completed when it returns. *)
 and write_record t p (w : Write.t) ~obs ~serve return_t returned_outcome =
   access_record t ~kind:(Access.Write_access w.id) ~obs ~submit:p.p_submit ~serve
     ~return_t ~deps:p.p_deps ~result:(Op.result returned_outcome)
@@ -751,15 +864,15 @@ and write_record t p (w : Write.t) ~obs ~serve return_t returned_outcome =
 and update_rate t =
   (* EWMA of the local write rate (writes/s), for adaptive budget splits. *)
   let nw = now t in
-  let dt = nw -. t.last_rate_update in
+  let dt = nw -. t.last_rate_update.(0) in
+  let rate = t.rates.(t.rid) in
   if dt > 0.0 then begin
     let inst = 1.0 /. dt in
     let alpha = Float.min 1.0 (dt /. 10.0) in
-    t.rate_ewma <- ((1.0 -. alpha) *. t.rate_ewma) +. (alpha *. inst);
-    t.last_rate_update <- nw
+    t.rates.(t.rid) <- ((1.0 -. alpha) *. rate) +. (alpha *. inst);
+    t.last_rate_update.(0) <- nw
   end
-  else t.rate_ewma <- t.rate_ewma +. 0.1;
-  t.rates.(t.rid) <- t.rate_ewma
+  else t.rates.(t.rid) <- rate +. 0.1
 
 (* ------------------------------------------------------------------ *)
 (* Synchronisation triggers for a parked access                        *)
@@ -880,49 +993,54 @@ and pump t =
      Serving an access runs its continuation, which may submit — and park —
      further accesses; work over a snapshot and merge what accumulated.  Dead
      entries ([p_done]: timed out or abandoned) are dropped here. *)
-  let snapshot = Queue.create () in
-  Queue.transfer t.pending snapshot;
-  let keep = Queue.create () in
-  Queue.iter
-    (fun p ->
-      if p.p_done then ()
-      else if deps_satisfied t p then begin
-        p.p_done <- true;
-        t.npending <- t.npending - 1;
-        match p.p_kind with
-        | Pread (f, k) -> serve_read t p f k
-        | Pwrite (op, affects, k) -> serve_write t p op affects k
-      end
-      else Queue.push p keep)
-    snapshot;
-  (* Entries parked during serving come after the survivors, preserving the
-     oldest-first order. *)
-  Queue.transfer t.pending keep;
-  t.pending <- keep;
-  (* Return queue: FIFO, release writes whose budget cleared (and, for
-     commit-synchronous ones, that have committed). *)
-  let rec drain () =
-    if not (Queue.is_empty t.return_queue) then begin
-      let u = Queue.peek t.return_queue in
-      if over_budget_peers t u.u_write = [] then begin
-        let final = Wlog.final_outcome t.wlog u.u_write.id in
-        match (u.u_wait_commit, final) with
-        | true, None -> ()
-        | false, _ | true, Some _ ->
-          let outcome =
-            match (u.u_wait_commit, final) with
-            | true, Some f -> f
-            | _ -> u.u_outcome
-          in
-          ignore (Queue.pop t.return_queue);
-          if t.cfg.Config.record_accesses then
-            t.records <- u.u_record (now t) outcome :: t.records;
-          u.u_k outcome;
-          drain ()
-      end
+  if not (Queue.is_empty t.pending) then begin
+    let snapshot = Queue.create () in
+    Queue.transfer t.pending snapshot;
+    let keep = Queue.create () in
+    Queue.iter
+      (fun p ->
+        if p.p_done then ()
+        else if deps_satisfied t p then begin
+          p.p_done <- true;
+          t.npending <- t.npending - 1;
+          match p.p_kind with
+          | Pread (f, k) -> serve_read t p f k
+          | Pwrite (op, affects, k) -> serve_write t p op affects k
+        end
+        else Queue.push p keep)
+      snapshot;
+    (* Entries parked during serving come after the survivors, preserving
+       the oldest-first order. *)
+    Queue.transfer t.pending keep;
+    t.pending <- keep
+  end;
+  drain_returns t
+
+(* Return queue: FIFO, release writes whose budget cleared (and, for
+   commit-synchronous ones, that have committed). *)
+and drain_returns t =
+  if not (Queue.is_empty t.return_queue) then begin
+    let u = Queue.peek t.return_queue in
+    if over_budget_peers t u.u_write = [] then begin
+      let final = Wlog.final_outcome t.wlog u.u_write.id in
+      match (u.u_wait_commit, final) with
+      | true, None -> ()
+      | false, _ | true, Some _ ->
+        let outcome =
+          match (u.u_wait_commit, final) with
+          | true, Some f -> f
+          | _ -> u.u_outcome
+        in
+        ignore (Queue.pop t.return_queue);
+        if t.cfg.Config.record_accesses then
+          t.records <-
+            write_record t u.u_pending u.u_write ~obs:u.u_obs ~serve:u.u_serve
+              (now t) outcome
+            :: t.records;
+        u.u_k outcome;
+        drain_returns t
     end
-  in
-  drain ()
+  end
 
 and ensure_retry t =
   if not t.retry_running then begin
@@ -960,6 +1078,7 @@ and ensure_retry t =
 
 and note_peer_vector t ~peer vector =
   Version_vector.merge_into t.acked.(peer) vector;
+  t.confirmed.(peer) <- Version_vector.get t.acked.(peer) t.rid;
   release_outstanding t ~peer
 
 and process t msg =
@@ -1091,9 +1210,10 @@ let admit t ?deadline p =
     | Pwrite (op, affects, k) -> serve_write t p op affects k
   else begin
     t.s_blocked <- t.s_blocked + 1;
-    trace t ~kind:"blocked" "%s with %d deps"
-      (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
-      (List.length p.p_deps);
+    if tracing t then
+      trace t ~kind:"blocked" "%s with %d deps"
+        (match p.p_kind with Pread _ -> "read" | Pwrite _ -> "write")
+        (List.length p.p_deps);
     Queue.push p t.pending;
     t.npending <- t.npending + 1;
     trigger_syncs t p;
@@ -1127,7 +1247,7 @@ let submit_read ?require ?deadline ?on_timeout t ~deps ~f ~k =
       p_kind = Pread (f, k);
       p_round = None;
       p_round_done = false;
-      p_needs_round = List.exists (needs_ne_round t) deps;
+      p_needs_round = any_needs_ne_round t deps;
       p_st_tries = 0;
       p_done = false;
     }
@@ -1145,7 +1265,7 @@ let submit_write ?require ?deadline ?on_timeout t ~deps ~affects ~op ~k =
       p_kind = Pwrite (op, affects, k);
       p_round = None;
       p_round_done = false;
-      p_needs_round = List.exists (needs_ne_round t) deps;
+      p_needs_round = any_needs_ne_round t deps;
       p_st_tries = 0;
       p_done = false;
     }

@@ -122,6 +122,9 @@ val submit_write :
   op:Tact_store.Op.t ->
   k:(Tact_store.Op.outcome -> unit) ->
   unit
+(** An access with no [deps] and no [require] is admitted at once and pays
+    for none of the NE/OE/ST admission checks; the NE budget of the conits
+    it [affects] still decides when it returns. *)
 
 val records : t -> Tact_core.Access.t list
 (** Access records emitted so far (most recent first).  Always [[]] when
@@ -176,10 +179,14 @@ val close : t -> unit
     a closed replica can still be inspected. *)
 
 val bookkeeping_entries : t -> int
-(** Size of the numerical-error bookkeeping state (per-peer, per-conit
-    outstanding-weight entries).  Section 5 claims the protocols scale with
-    the number of {e active} conits because this state is created on demand
-    rather than statically per conit; experiment E8 measures it. *)
+(** Size of the numerical-error bookkeeping state: the (peer, conit) pairs
+    whose outstanding weight has ever been accounted, by an accepted write
+    or by a release.  The state is one entry per conit, created on the
+    conit's first write and holding a weight and a touched flag per peer,
+    so an access looks its conit up once whatever the peer count.  Section
+    5 claims the protocols scale with the number of {e active} conits
+    because this state is created on demand rather than statically per
+    conit; experiment E8 measures it. *)
 
 val sanity_check : t -> unit
 (** When {!Tact_util.Sanitize.enabled}, audit this replica's execution state

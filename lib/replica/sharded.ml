@@ -164,52 +164,67 @@ let now t =
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
 
+let rec same_shard t ~shard:s ~first:c = function
+  | [] -> ()
+  | c' :: rest ->
+    let s' = Shard.route t.router c' in
+    if s' <> s then
+      invalid_arg
+        (Printf.sprintf "Sharded: access spans shards %d (%s) and %d (%s)" s c s'
+           c');
+    same_shard t ~shard:s ~first:c rest
+
 (* The shard an access belongs to: the single shard all its conits route
    to.  Conit-less accesses go to shard 0, like conit-less writes. *)
 let target_shard t conits =
   match conits with
   | [] -> 0
+  | [ c ] -> Shard.route t.router c
   | c :: rest ->
     let s = Shard.route t.router c in
-    List.iter
-      (fun c' ->
-        let s' = Shard.route t.router c' in
-        if s' <> s then
-          invalid_arg
-            (Printf.sprintf
-               "Sharded: access spans shards %d (%s) and %d (%s)" s c s' c'))
-      rest;
+    same_shard t ~shard:s ~first:c rest;
     s
 
 (* Where the router actually sends the access: under the planted
    [fault_wrong_shard] bug every submission lands one shard over. *)
-let routed_shard t conits =
-  let s = target_shard t conits in
-  if t.fault_wrong_shard then (s + 1) mod shards t else s
+let misroute t s = if t.fault_wrong_shard then (s + 1) mod shards t else s
 
 let route t conit = Shard.route t.router conit
 
-let resolve t ~replica:r conits =
-  let s = routed_shard t conits in
-  match local_id t ~shard:s r with
-  | Some li -> System.replica t.subs.(s) li
-  | None ->
+let resolve t ~replica:r s =
+  let s = misroute t s in
+  let li = t.local_of.(s).(r) in
+  if li >= 0 then System.replica t.subs.(s) li
+  else
     invalid_arg
       (Printf.sprintf
          "Sharded: replica %d does not subscribe to shard %d (access conits \
           route there)" r s)
 
+(* The affected conits, then the depended-on ones; a single conit, the
+   common shape, routes without building the list. *)
+let write_shard t ~deps ~affects =
+  match (affects, deps) with
+  | [ { Write.conit; _ } ], [] | [], [ (conit, _) ] -> Shard.route t.router conit
+  | _ ->
+    target_shard t
+      (List.map (fun (w : Write.weight) -> w.conit) affects @ List.map fst deps)
+
+let read_shard t ~deps =
+  match deps with
+  | [ (conit, _) ] -> Shard.route t.router conit
+  | _ -> target_shard t (List.map fst deps)
+
 let submit_write ?require ?deadline ?on_timeout t ~replica:r ~deps ~affects
     ~op ~k =
-  let conits =
-    List.map (fun (w : Write.weight) -> w.conit) affects @ List.map fst deps
-  in
   Replica.submit_write ?require ?deadline ?on_timeout
-    (resolve t ~replica:r conits) ~deps ~affects ~op ~k
+    (resolve t ~replica:r (write_shard t ~deps ~affects))
+    ~deps ~affects ~op ~k
 
 let submit_read ?require ?deadline ?on_timeout t ~replica:r ~deps ~f ~k =
   Replica.submit_read ?require ?deadline ?on_timeout
-    (resolve t ~replica:r (List.map fst deps)) ~deps ~f ~k
+    (resolve t ~replica:r (read_shard t ~deps))
+    ~deps ~f ~k
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

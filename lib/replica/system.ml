@@ -8,12 +8,26 @@ type write_meta = {
   mutable return_time : float;
 }
 
+(* The omniscient write registry, per origin, indexed by [seq - 1]: a
+   replica accepts its own writes in sequence ([Wlog.accept] rejects any
+   other), so registering one is an append, not a hash insert. *)
+let register metas (w : Write.t) vec =
+  let v = metas.(w.id.origin) in
+  assert (w.id.seq = Vec.length v + 1);
+  Vec.push v { write = w; accept_vector = vec; return_time = w.accept_time }
+
+let find_meta metas (id : Write.id) =
+  if id.origin < 0 || id.origin >= Array.length metas then None
+  else
+    let v = metas.(id.origin) in
+    if id.seq < 1 || id.seq > Vec.length v then None else Some (Vec.get v (id.seq - 1))
+
 type t = {
   engine : Engine.t;
   net : Net.t;
   config : Config.t;
   replicas : Replica.t array;
-  writes : write_meta Write.Id_tbl.t;
+  writes : write_meta Vec.t array;
   mutable started : bool;
   mutable closed : bool;
 }
@@ -29,15 +43,13 @@ let create ?(seed = 42) ?(jitter = 0.05) ?(loss = 0.0) ?(track_writes = true)
   let jit = if jitter > 0.0 then Some (rng, jitter) else None in
   let lss = if loss > 0.0 then Some (Prng.split rng, loss) else None in
   let net = Net.create engine topology ?jitter:jit ?loss:lss () in
-  let writes = Write.Id_tbl.create 1024 in
   let n = topology.Topology.n in
+  let writes = Array.init n (fun _ -> Vec.create ()) in
   let replicas =
     Array.init n (fun i ->
         if track_writes then
           Replica.create ~id:i ~n ~net ~config
-            ~on_accept:(fun w vec ->
-              Write.Id_tbl.replace writes w.Write.id
-                { write = w; accept_vector = vec; return_time = w.Write.accept_time })
+            ~on_accept:(fun w vec -> register writes w vec)
             ()
         else Replica.create ~id:i ~n ~net ~config ())
   in
@@ -66,7 +78,7 @@ let collect_returns t =
         (fun (a : Tact_core.Access.t) ->
           match a.kind with
           | Tact_core.Access.Write_access id -> (
-            match Write.Id_tbl.find_opt t.writes id with
+            match find_meta t.writes id with
             | Some meta -> meta.return_time <- a.return_time
             | None -> ())
           | Tact_core.Access.Read -> ())
@@ -96,21 +108,22 @@ let run ?until t =
 
 let all_writes t =
   (* The collected list is sorted just below. *)
-  Write.Id_tbl.fold (fun _ m acc -> m.write :: acc) t.writes []
+  Array.fold_left
+    (fun acc v -> List.rev_append (List.map (fun m -> m.write) (Vec.to_list v)) acc)
+    [] t.writes
   |> List.sort Write.ts_compare
 
-let write_count t = Write.Id_tbl.length t.writes
+let write_count t = Array.fold_left (fun acc v -> acc + Vec.length v) 0 t.writes
 
-let find_write t id =
-  Option.map (fun m -> m.write) (Write.Id_tbl.find_opt t.writes id)
+let find_write t id = Option.map (fun m -> m.write) (find_meta t.writes id)
 
 let return_time t id =
-  match Write.Id_tbl.find_opt t.writes id with
+  match find_meta t.writes id with
   | Some m -> m.return_time
   | None -> invalid_arg ("System.return_time: unknown write " ^ Write.id_to_string id)
 
 let accept_vector t id =
-  match Write.Id_tbl.find_opt t.writes id with
+  match find_meta t.writes id with
   | Some m -> m.accept_vector
   | None -> invalid_arg ("System.accept_vector: unknown write " ^ Write.id_to_string id)
 

@@ -65,22 +65,18 @@ let append t k v = set t k (Value.List (v :: Value.to_list (get t k)))
 (* Unordered (bucket order); callers sort before iterating. *)
 let keys t = H.fold (fun k _ acc -> k :: acc) t.tbl []
 
-(* Every mutation inside [f] is journalled; the returned undo record reverts
-   them all (see {!revert}).  Recordings do not nest. *)
-let recording t f =
+(* Every mutation between the two calls is journalled; the undo record
+   [stop_recording] returns reverts them all (see {!revert}).  Recordings do
+   not nest. *)
+let start_recording t =
   assert (not t.recording);
-  t.recording <- true;
-  match f () with
-  | result ->
-    let u = t.log in
-    t.recording <- false;
-    t.log <- [];
-    (result, u)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    t.recording <- false;
-    t.log <- [];
-    Printexc.raise_with_backtrace e bt
+  t.recording <- true
+
+let stop_recording t =
+  let u = t.log in
+  t.recording <- false;
+  t.log <- [];
+  u
 
 (* The journal holds entries newest first, and each entry stores the binding
    before its own mutation, so replaying the journal in list order restores

@@ -3,7 +3,7 @@
     Each replica maintains two images (see {!Wlog}): one reflecting only the
     committed prefix of the write log, and the full view including tentative
     writes.  Rollback of tentative writes works by journalling each write's
-    mutations as it is applied ({!recording}) and replaying the journal
+    mutations as it is applied ({!start_recording}) and replaying the journal
     backwards ({!revert}) — so a rollback costs the size of the undone suffix,
     not of the whole image.
 
@@ -55,11 +55,17 @@ val equal : t -> t -> bool
 
 val size : t -> int
 
-val recording : t -> (unit -> 'a) -> 'a * undo
-(** Run the thunk with mutation journalling on, returning its result and the
-    undo record for everything it changed.  Recordings do not nest. *)
+val start_recording : t -> unit
+(** Turn mutation journalling on.  Recordings do not nest. *)
+
+val stop_recording : t -> undo
+(** Turn journalling off and return the undo record of every mutation since
+    {!start_recording}.  Closure-free by design: the write log records each
+    write's journal on its accept path.  The caller must stop on every exit,
+    a raising one included, or the next {!start_recording} fails its
+    no-nesting assertion. *)
 
 val revert : t -> undo -> unit
-(** Revert the mutations captured by a {!recording}.  Undo records must be
-    reverted newest-recording-first to restore a past state.  A key the
-    recording created is removed again (it leaves {!keys}). *)
+(** Revert the mutations captured by a recording ({!stop_recording}).  Undo
+    records must be reverted newest-recording-first to restore a past state.
+    A key the recording created is removed again (it leaves {!keys}). *)

@@ -81,3 +81,16 @@ let decode_frame_header ?(max_frame = default_max_frame) buf ~off ~avail =
     if len > max_frame then Error (Too_large { limit = max_frame; got = len })
     else Ok (Some len)
   end
+
+let keep_tail buf ~off ~len ~need =
+  if Bytes.length buf < need then begin
+    (* lint: allow alloc-hot-path -- grows only to a frame bounded by
+       max_frame; amortised by buffer reuse across frames *)
+    let fresh = Bytes.create need in
+    Bytes.blit buf off fresh 0 (len - off);
+    fresh
+  end
+  else begin
+    if off > 0 then Bytes.blit buf off buf 0 (len - off);
+    buf
+  end

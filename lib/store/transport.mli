@@ -114,3 +114,11 @@ val decode_frame_header :
     length, [Error] for a negative or over-[max_frame] length (the
     connection is poisoned — there is no way to resynchronise a stream after
     a corrupt prefix). *)
+
+val keep_tail : Bytes.t -> off:int -> len:int -> need:int -> Bytes.t
+(** Receive-buffer compaction: the unconsumed bytes from [off] to [len]
+    moved to the front of a buffer of at least [need] bytes — [buf] itself
+    when it is large enough, else a fresh one; the caller's fill length
+    becomes [len - off].  Readers consume every complete frame at
+    increasing offsets and compact once per read, so a read holding k
+    frames moves its bytes once, not k times. *)

@@ -337,26 +337,37 @@ let unsafe_swap_tentative t i j =
   Deque.set t.tent j a
 
 (* Bookkeeping common to every successful insertion. *)
-let register t (w : Write.t) =
+let rec register t (w : Write.t) =
   let s = slot_ensure t w.id.origin w.id.seq in
   s.s_write <- Some w;
   t.nresident <- t.nresident + 1;
   Deque.push_back t.by_origin.(w.id.origin) w;
   Version_vector.set t.vector w.id.origin w.id.seq;
-  List.iter
-    (fun { Write.conit; nweight; oweight } ->
-      Tally.add t.values conit nweight;
-      Tally.add t.tent_oweights conit oweight)
-    w.affects
+  register_weights t w.affects
+
+and register_weights t = function
+  | [] -> ()
+  | { Write.conit; nweight; oweight } :: rest ->
+    Tally.add t.values conit nweight;
+    Tally.add t.tent_oweights conit oweight;
+    register_weights t rest
 
 (* Apply one tentative write to the full image, journalling its mutations so
    it can be rolled back, and (re-)recording its outcome — outcomes may
    change across reorderings; that is the point of write procedures. *)
 let apply_one t (w : Write.t) =
-  let outcome, u = Db.recording t.full_db (fun () -> Op.apply w.op t.full_db) in
-  (slot_exn t w.id).s_outcome <- Some outcome;
-  Deque.push_back t.undo u;
-  outcome
+  let db = t.full_db in
+  Db.start_recording db;
+  match Op.apply w.op db with
+  | outcome ->
+    let u = Db.stop_recording db in
+    (slot_exn t w.id).s_outcome <- Some outcome;
+    Deque.push_back t.undo u;
+    outcome
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (Db.stop_recording db);
+    Printexc.raise_with_backtrace e bt
 
 (* Revert tentative applications down to position [pos] (exclusive). *)
 let rollback_to t pos =
@@ -690,18 +701,20 @@ let commit_stable t ~cover =
     else if c < !min2 then min2 := c
   done;
   let min1 = !min1 and min2 = !min2 and argmin = !argmin and nmin = !nmin in
-  let stable_fast (w : Write.t) =
+  (* Commit order equals timestamp order here, so the full image and the
+     suffix's undo journals beyond the frontier are untouched: committing is
+     a front pop (the popped undo journal dissolves into the base image).
+     The stability test is written out in the loop condition, not as a
+     local function, so the minima stay unboxed and nothing is allocated. *)
+  let n = ref 0 in
+  while
+    (not (Deque.is_empty t.tent))
+    &&
+    let w = Deque.peek_front t.tent in
     let m = if argmin = w.id.origin && nmin = 1 then min2 else min1 in
     if w.accept_time < m then true
     else if w.accept_time > m then false
     else stable ~cover w
-  in
-  (* Commit order equals timestamp order here, so the full image and the
-     suffix's undo journals beyond the frontier are untouched: committing is
-     a front pop (the popped undo journal dissolves into the base image). *)
-  let n = ref 0 in
-  while
-    (not (Deque.is_empty t.tent)) && stable_fast (Deque.peek_front t.tent)
   do
     let w = Deque.pop_front t.tent in
     ignore (Deque.pop_front t.undo);

@@ -193,34 +193,32 @@ let handle_request t (c : client_conn) req =
       ~f:(fun db -> Db.get db key)
       ~k:(fun v -> respond t c (Client.Value v))
 
-let rec client_consume t (c : client_conn) =
-  match
-    Transport.decode_frame_header
-      ~max_frame:t.config.Config.transport.Config.max_frame c.k_buf ~off:0
-      ~avail:c.k_len
-  with
-  | Ok None -> ()
-  | Error _ -> drop_client t c
-  | Ok (Some len) ->
-    let hdr = Transport.frame_header_size in
-    if c.k_len >= hdr + len then begin
-      let payload = Bytes.sub_string c.k_buf hdr len in
-      let rest = c.k_len - hdr - len in
-      Bytes.blit c.k_buf (hdr + len) c.k_buf 0 rest;
-      c.k_len <- rest;
+let keep_tail (c : client_conn) ~off ~need =
+  c.k_buf <- Transport.keep_tail c.k_buf ~off ~len:c.k_len ~need;
+  c.k_len <- c.k_len - off
+
+(* Handle every complete frame in the buffer at increasing offsets, then
+   compact once ({!Transport.keep_tail}). *)
+let client_consume t (c : client_conn) =
+  let hdr = Transport.frame_header_size in
+  let rec from off =
+    match
+      Transport.decode_frame_header
+        ~max_frame:t.config.Config.transport.Config.max_frame c.k_buf ~off
+        ~avail:(c.k_len - off)
+    with
+    | Error _ -> drop_client t c
+    | Ok None -> keep_tail c ~off ~need:0
+    | Ok (Some len) when c.k_len - off < hdr + len ->
+      keep_tail c ~off ~need:(hdr + len)
+    | Ok (Some len) ->
+      let payload = Bytes.sub_string c.k_buf (off + hdr) len in
       (match Client.decode_request payload with
       | Ok req -> handle_request t c req
       | Error e -> respond t c (Client.Err (Transport.error_to_string e)));
-      client_consume t c
-    end
-    else begin
-      let need = hdr + len in
-      if Bytes.length c.k_buf < need then begin
-        let fresh = Bytes.create need in
-        Bytes.blit c.k_buf 0 fresh 0 c.k_len;
-        c.k_buf <- fresh
-      end
-    end
+      from (off + hdr + len)
+  in
+  from 0
 
 let client_read t (c : client_conn) =
   let avail = Bytes.length c.k_buf - c.k_len in

@@ -397,6 +397,10 @@ let ack_probe t ~src =
       flush_out t p
     | Some _ | None -> ()
 
+let keep_tail (c : conn) ~off ~need =
+  c.c_buf <- Transport.keep_tail c.c_buf ~off ~len:c.c_len ~need;
+  c.c_len <- c.c_len - off
+
 let rec conn_consume t (c : conn) =
   match c.c_peer with
   | None ->
@@ -426,47 +430,38 @@ let rec conn_consume t (c : conn) =
         end
       end
       else poison_conn t c
-  | Some src -> (
-    match
-      Transport.decode_frame_header ~max_frame:t.knobs.max_frame c.c_buf
-        ~off:0 ~avail:c.c_len
-    with
-    | Ok None -> ()
-    | Error _ ->
-      (* Oversized or corrupt length prefix: there is no way to
-         resynchronise a stream after a bad prefix — poison the
-         connection (the peer's supervisor will redial). *)
-      poison_conn t c
-    | Ok (Some len) ->
-      let hdr = Transport.frame_header_size in
-      if c.c_len >= hdr + len then begin
-        let payload = Bytes.sub_string c.c_buf hdr len in
-        let rest = c.c_len - hdr - len in
-        Bytes.blit c.c_buf (hdr + len) c.c_buf 0 rest;
-        c.c_len <- rest;
-        t.stats.recv_frames <- t.stats.recv_frames + 1;
-        t.stats.recv_bytes <- t.stats.recv_bytes + hdr + len;
-        tr t (fun () ->
-            Printf.sprintf "recv <- %d: %dB%s" src len
-              (if len = 0 then " (probe)" else ""));
-        (match t.peers.(src) with
-        | Some p -> run_actions t p (sup_event t p Supervisor.Rx)
-        | None -> ());
-        if len = 0 then ack_probe t ~src else t.handler ~src payload;
-        conn_consume t c
-      end
-      else begin
-        (* Grow to hold the announced frame ([len] is already bounded by
-           [max_frame], so this cannot balloon). *)
-        let need = hdr + len in
-        if Bytes.length c.c_buf < need then begin
-          (* lint: allow alloc-hot-path -- bounded by max_frame; amortised
-             by buffer reuse across frames *)
-          let fresh = Bytes.create need in
-          Bytes.blit c.c_buf 0 fresh 0 c.c_len;
-          c.c_buf <- fresh
-        end
-      end)
+  | Some src -> conn_frames t c ~src 0
+
+(* Deliver every complete frame in the buffer at increasing offsets, then
+   compact once ({!Transport.keep_tail}). *)
+and conn_frames t (c : conn) ~src off =
+  let hdr = Transport.frame_header_size in
+  match
+    Transport.decode_frame_header ~max_frame:t.knobs.max_frame c.c_buf ~off
+      ~avail:(c.c_len - off)
+  with
+  | Error _ ->
+    (* Oversized or corrupt length prefix: there is no way to
+       resynchronise a stream after a bad prefix — poison the
+       connection (the peer's supervisor will redial). *)
+    poison_conn t c
+  | Ok None -> keep_tail c ~off ~need:0
+  | Ok (Some len) when c.c_len - off < hdr + len ->
+    (* Grow to hold the announced frame ([len] is already bounded by
+       [max_frame], so this cannot balloon). *)
+    keep_tail c ~off ~need:(hdr + len)
+  | Ok (Some len) ->
+    let payload = Bytes.sub_string c.c_buf (off + hdr) len in
+    t.stats.recv_frames <- t.stats.recv_frames + 1;
+    t.stats.recv_bytes <- t.stats.recv_bytes + hdr + len;
+    tr t (fun () ->
+        Printf.sprintf "recv <- %d: %dB%s" src len
+          (if len = 0 then " (probe)" else ""));
+    (match t.peers.(src) with
+    | Some p -> run_actions t p (sup_event t p Supervisor.Rx)
+    | None -> ());
+    if len = 0 then ack_probe t ~src else t.handler ~src payload;
+    conn_frames t c ~src (off + hdr + len)
 
 let conn_read t (c : conn) =
   let avail = Bytes.length c.c_buf - c.c_len in

@@ -16,7 +16,6 @@ let add t k delta =
 let set t k x =
   match H.find t k with c -> c.v <- x | exception Not_found -> H.add t k { v = x }
 
-let length = H.length
 let reset = H.reset
 let iter f t = H.iter (fun k c -> f k c.v) t
 let fold f t acc = H.fold (fun k c acc -> f k c.v acc) t acc

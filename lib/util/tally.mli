@@ -16,9 +16,6 @@ val get : t -> string -> float
 val add : t -> string -> float -> unit
 val set : t -> string -> float -> unit
 
-val length : t -> int
-(** Number of keys ever touched since the last {!reset}. *)
-
 val reset : t -> unit
 
 val iter : (string -> float -> unit) -> t -> unit

@@ -435,4 +435,88 @@ let gossip_suite =
     Alcotest.test_case "gossip plan validated" `Quick test_gossip_plan_validated;
   ]
 
-let suite = base_suite @ deadline_suite @ validation_suite @ gossip_suite
+(* --- Admission fast paths ---------------------------------------------- *)
+
+(* A weak access skips every admission conjunct, the deps-driven round and
+   commit checks included.  Each case runs twice on identical systems: once
+   with its own deps, once with an extra dep that bounds nothing, which
+   forces the general path for every check.  The immediate verdict, the
+   stats right after submission and the whole run's outcome must agree.
+   The first deps set (none) takes the fast path unless a session vector is
+   required; the others cover ST-only, NE tighter than declared, OE = 0 and
+   a mix. *)
+let fast_path_deps =
+  [|
+    [];
+    [ ("a", Bounds.make ~st:0.05 ()) ];
+    [ ("a", Bounds.make ~ne:1.0 ()) ];
+    [ ("b", Bounds.make ~oe:0.0 ()) ];
+    [ ("a", Bounds.make ~ne:4.0 ~st:1.0 ()); ("b", Bounds.make ~oe:2.0 ()) ];
+  |]
+
+let fast_path_run ~seed ~history ~write ~deps ~require =
+  let n = 3 in
+  let config =
+    {
+      Config.default with
+      Config.conits = [ Conit.declare ~ne_bound:4.0 "a"; Conit.declare "b" ];
+      antientropy_period = Some 0.3;
+    }
+  in
+  let sys = System.create ~seed ~topology:(topo n) ~config () in
+  let engine = System.engine sys in
+  let rng = Tact_util.Prng.create ~seed in
+  for k = 0 to history - 1 do
+    let r = System.replica sys (Tact_util.Prng.int rng n) in
+    let conit = if Tact_util.Prng.bool rng then "a" else "b" in
+    Engine.at engine ~time:(0.01 *. float_of_int (k + 1)) (fun () ->
+        Replica.submit_write r ~deps:[] ~affects:[ unit_weight conit ]
+          ~op:(Op.Add ("x:" ^ conit, 1.0)) ~k:ignore)
+  done;
+  let at = (0.01 *. float_of_int (history / 2)) +. 0.005 in
+  let admitted = ref None in
+  Engine.at engine ~time:at (fun () ->
+      let r = System.replica sys 0 in
+      let require =
+        if require then
+          Some (Version_vector.copy (Wlog.vector (Replica.log (System.replica sys 1))))
+        else None
+      in
+      let served = ref false in
+      if write then
+        Replica.submit_write ?require r ~deps ~affects:[ unit_weight "a" ]
+          ~op:(Op.Add ("x:a", 1.0)) ~k:(fun _ -> served := true)
+      else
+        Replica.submit_read ?require r ~deps
+          ~f:(fun db -> Db.get db "x:a")
+          ~k:(fun _ -> served := true);
+      admitted := Some (!served, Replica.stats r));
+  System.run ~until:(at +. 30.0) sys;
+  ( !admitted,
+    List.init n (fun i -> Replica.stats (System.replica sys i)),
+    (System.traffic sys).Net.messages,
+    System.converged sys )
+
+let fast_path_agrees (seed, history, write, (d, require)) =
+  let deps = fast_path_deps.(if d < 5 then 0 else d - 4) in
+  let fast = fast_path_run ~seed ~history ~write ~deps ~require in
+  let general =
+    fast_path_run ~seed ~history ~write ~require
+      ~deps:(deps @ [ ("unconstrained", Bounds.weak) ])
+  in
+  fast = general
+
+let test_fast_paths_match_general =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"admission fast paths match the general path"
+       ~count:60
+       QCheck.(quad (int_bound 10_000) (int_bound 40) bool (pair (int_bound 8) bool))
+       (fun case ->
+         Tact_util.Sanitize.set_enabled true;
+         Fun.protect ~finally:Tact_util.Sanitize.clear_forced (fun () ->
+             fast_path_agrees case)))
+
+let fast_path_suite = [ test_fast_paths_match_general ]
+
+let suite =
+  base_suite @ deadline_suite @ validation_suite @ gossip_suite @ fast_path_suite

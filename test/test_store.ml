@@ -154,13 +154,12 @@ let test_db_copy_isolated () =
      copy and leaves the recording image as it is (the sanitizer's undo
      round-trip audit relies on this). *)
   let img = Db.create [ ("x", Value.Int 1); ("y", Value.Float 2.0) ] in
-  let (), undo =
-    Db.recording img (fun () ->
-        Db.set img "x" (Value.Int 7);
-        Db.add img "y" 3.0;
-        Db.add img "y" 1.0;
-        Db.set img "fresh" (Value.Str "new"))
-  in
+  Db.start_recording img;
+  Db.set img "x" (Value.Int 7);
+  Db.add img "y" 3.0;
+  Db.add img "y" 1.0;
+  Db.set img "fresh" (Value.Str "new");
+  let undo = Db.stop_recording img in
   let replay = Db.copy img in
   Db.revert replay undo;
   Alcotest.(check v) "copy: x restored" (Value.Int 1) (Db.get replay "x");
@@ -191,14 +190,29 @@ let test_db_keys () =
   let db = Db.create [ ("a", Value.Int 1); ("b", Value.Int 2) ] in
   Alcotest.(check int) "two keys" 2 (List.length (Db.keys db))
 
-(* A recording stops journalling on both exits, so a raising body leaves
-   the database ready for the next recording. *)
+(* The write log stops a recording on both exits of a write's apply, so a
+   raising op leaves the image ready for the next recording, and the next
+   journal holds only its own mutations. *)
 let test_db_recording_exits () =
-  let db = Db.create [ ("a", Value.Int 1) ] in
-  (match Db.recording db (fun () -> Db.set db "a" (Value.Int 2); failwith "boom") with
-  | _ -> Alcotest.fail "the body raised"
+  let log = Wlog.create ~replicas:1 ~initial:[ ("a", Value.Int 1) ] in
+  let boom =
+    Write.make ~id:{ Write.origin = 0; seq = 1 } ~accept_time:1.0
+      ~op:
+        (Op.Proc
+           {
+             name = "boom";
+             size = 8;
+             body = (fun db -> Db.set db "a" (Value.Int 2); failwith "boom");
+           })
+      ~affects:[]
+  in
+  (match Wlog.accept log boom with
+  | _ -> Alcotest.fail "the op raised"
   | exception Failure _ -> ());
-  let (), undo = Db.recording db (fun () -> Db.set db "b" (Value.Int 3)) in
+  let db = Wlog.db log in
+  Db.start_recording db;
+  Db.set db "b" (Value.Int 3);
+  let undo = Db.stop_recording db in
   Db.set db "c" (Value.Int 4);
   Db.revert db undo;
   Alcotest.(check bool) "reverted only the recorded set" true

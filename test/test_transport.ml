@@ -404,7 +404,17 @@ let test_frame_header_bounds () =
   List.iter
     (fun e ->
       Alcotest.(check bool) (Transport.error_to_string e) false (Transport.is_transient e))
-    [ Transport.Closed "c"; Transport.Malformed "m"; Transport.Too_large { limit = 1; got = 2 } ]
+    [ Transport.Closed "c"; Transport.Malformed "m"; Transport.Too_large { limit = 1; got = 2 } ];
+  (* Compaction after a read: the unconsumed tail moves to the front, in
+     place while the buffer is large enough, into a fresh buffer when the
+     announced frame needs more room. *)
+  let buf = Bytes.of_string "consumedTAIL...." in
+  let kept = Transport.keep_tail buf ~off:8 ~len:12 ~need:4 in
+  Alcotest.(check bool) "compacted in place" true (kept == buf);
+  Alcotest.(check string) "tail at the front" "TAIL" (Bytes.sub_string kept 0 4);
+  let grown = Transport.keep_tail (Bytes.of_string "xxPART") ~off:2 ~len:6 ~need:64 in
+  Alcotest.(check int) "grown to the frame" 64 (Bytes.length grown);
+  Alcotest.(check string) "tail kept" "PART" (Bytes.sub_string grown 0 4)
 
 (* --- Config.validate: transport knob diagnostics ---------------------- *)
 
@@ -705,6 +715,41 @@ let test_tcp_poisons_hostile_bytes () =
   (try Unix.close sneaky with Unix.Unix_error _ -> ());
   Tcp.close t0
 
+(* A burst of small frames written back-to-back after the hello, in one
+   write: the accept side delivers each one, complete and in order. *)
+let test_tcp_frame_burst () =
+  let ports = Array.of_list (fresh_ports 2) in
+  let addrs = Array.map loopback ports in
+  let loop = Loop.create () in
+  let t0 =
+    Tcp.create ~loop ~self:0 ~addrs ~knobs:fast_knobs ~rng:(Prng.create ~seed:11) ()
+  in
+  let got = ref [] in
+  Tcp.set_handler t0 (fun ~src payload -> got := (src, payload) :: !got);
+  Tcp.listen t0 ~addr:addrs.(0);
+  let peer = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect peer addrs.(0);
+  let frames = 2000 in
+  let burst = Buffer.create (16 + (frames * 12)) in
+  Buffer.add_string burst "TACTPEER";
+  Buffer.add_int64_be burst 1L;
+  for i = 1 to frames do
+    let payload = string_of_int i in
+    Buffer.add_string burst (Transport.encode_frame_header ~len:(String.length payload));
+    Buffer.add_string burst payload
+  done;
+  let msg = Buffer.contents burst in
+  Alcotest.(check int) "one write" (String.length msg)
+    (Unix.write_substring peer msg 0 (String.length msg));
+  Alcotest.(check bool) "every frame delivered" true
+    (pump loop ~deadline:5.0 (fun () -> List.length !got >= frames));
+  Alcotest.(check (list (pair int string))) "complete and in order"
+    (List.init frames (fun i -> (1, string_of_int (i + 1))))
+    (List.rev !got);
+  Alcotest.(check int) "nothing poisoned" 0 (Tcp.stats t0).Tcp.poisoned;
+  (try Unix.close peer with Unix.Unix_error _ -> ());
+  Tcp.close t0
+
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_tcp_no_fd_leak () =
@@ -979,6 +1024,61 @@ let test_serve_keeps_no_records () =
   (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
   Serve.close srv
 
+(* One write carrying 1 000 pipelined Submit frames: the daemon consumes
+   them at increasing offsets in its read buffer and answers every one, in
+   order (each outcome is the running total). *)
+let test_serve_pipelined_submits () =
+  let ports = Array.of_list (fresh_ports 2) in
+  let peer_addrs = [| loopback ports.(0) |] in
+  let client_addr = loopback ports.(1) in
+  let config = { Config.default with Config.transport = fast_knobs } in
+  let srv = Serve.create ~id:0 ~n:1 ~peer_addrs ~client_addr ~config ~seed:9 () in
+  Serve.start srv;
+  let loop = Serve.loop srv in
+  let c = client_connect client_addr in
+  let frames = 1000 in
+  let burst = Buffer.create (frames * 64) in
+  for _ = 1 to frames do
+    let payload =
+      Client.request_to_string
+        (Client.Submit
+           { conit = "c"; nweight = 1.0; oweight = 1.0; op = Op.Add ("x", 1.0) })
+    in
+    Buffer.add_string burst (Transport.encode_frame_header ~len:(String.length payload));
+    Buffer.add_string burst payload
+  done;
+  Unix.clear_nonblock c.cl_fd;
+  let msg = Buffer.contents burst in
+  Alcotest.(check int) "one write" (String.length msg)
+    (Unix.write_substring c.cl_fd msg 0 (String.length msg));
+  Unix.set_nonblock c.cl_fd;
+  let got = ref [] in
+  let answered =
+    pump loop ~deadline:(Loop.now loop +. 10.0) (fun () ->
+        let rec drain () =
+          match client_try_read c with
+          | Some r ->
+            got := r :: !got;
+            drain ()
+          | None -> ()
+        in
+        drain ();
+        List.length !got >= frames)
+  in
+  Alcotest.(check bool) "every submit answered" true answered;
+  List.iteri
+    (fun i r ->
+      match r with
+      | Client.Outcome (Op.Applied v) ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "outcome %d in order" (i + 1))
+          (float_of_int (i + 1)) (Value.to_float v)
+      | r -> Alcotest.failf "submit %d refused: %s" (i + 1) (Client.describe_response r))
+    (List.rev !got);
+  Alcotest.(check int) "exactly one outcome each" frames (List.length !got);
+  (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+  Serve.close srv
+
 (* --- System.run teardown (satellite f) --------------------------------- *)
 
 let topo n = Tact_sim.Topology.uniform ~n ~latency:0.04 ~bandwidth:1_000_000.0
@@ -1045,10 +1145,13 @@ let suite =
       test_tcp_parks_after_retry_budget;
     Alcotest.test_case "tcp: poisons hostile bytes" `Quick test_tcp_poisons_hostile_bytes;
     Alcotest.test_case "tcp: no fd leak on create/destroy" `Quick test_tcp_no_fd_leak;
+    Alcotest.test_case "tcp: back-to-back frame burst" `Quick test_tcp_frame_burst;
     Alcotest.test_case "serve: nemesis run converges" `Slow
       test_serve_nemesis_convergence;
     Alcotest.test_case "serve: live replica keeps no records" `Quick
       test_serve_keeps_no_records;
+    Alcotest.test_case "serve: 1000 pipelined submits" `Quick
+      test_serve_pipelined_submits;
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
