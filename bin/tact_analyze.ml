@@ -15,7 +15,8 @@
    analysis/tact_analyze.baseline.  test/ and examples/ are always loaded
    as reference-only sources: their references keep exported API alive for
    SA004, but no findings are reported on them.  Exit 1 when any finding
-   is not covered by the baseline. *)
+   is not covered by the baseline, or when the baseline holds a stale key
+   (one matching no finding; --update-baseline prunes it). *)
 
 open Tact_staticcheck
 
@@ -200,10 +201,12 @@ let () =
     exit 0
   end;
   (* A stale key matches nothing: the finding it excused is gone, so the
-     entry only masks future regressions that happen to collide with it. *)
-  if (not o.effects_only) && stale <> [] then begin
+     entry only masks future regressions that happen to collide with it.
+     It fails the run like a new finding does. *)
+  let stale = if o.effects_only then [] else stale in
+  if stale <> [] then begin
     Printf.eprintf
-      "tact_analyze: warning: %d stale baseline key(s) in %s (prune with \
+      "tact_analyze: %d stale baseline key(s) in %s (prune with \
        --update-baseline):\n"
       (List.length stale) o.baseline_file;
     List.iter (fun k -> Printf.eprintf "  %s\n" k) stale
@@ -226,4 +229,4 @@ let () =
       (List.length findings - List.length fresh)
       (List.length fresh)
   end;
-  if fresh <> [] then exit 1
+  if fresh <> [] || stale <> [] then exit 1

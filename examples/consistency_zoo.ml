@@ -48,13 +48,7 @@ let conflict_matrix () =
   let sys = System.create ~topology:(topo 2) ~config () in
   let engine = System.engine sys in
   let withdraw =
-    Op.guarded ~name:"withdraw"
-      ~check:(fun db -> Db.get_float db "balance" >= 60.0)
-      ~apply:(fun db ->
-        Db.add db "balance" (-60.0);
-        Db.get db "balance")
-      ~alt:(fun _ -> "insufficient funds")
-      ()
+    Op.Add_within { key = "balance"; delta = -60.0; lo = 0.0; hi = infinity }
   in
   (* Two replicas race to withdraw 60 from a balance of 100. *)
   for i = 0 to 1 do

@@ -10,25 +10,6 @@ let flight_key f = Printf.sprintf "taken.%d" f
 let taken_seats db flight =
   List.map Value.to_int (Value.to_list (Db.get db (flight_key flight)))
 
-(* The reservation write procedure: re-checks the seat against the database
-   it is being applied to — the application-specific conflict check of the
-   paper's system model. *)
-let reserve_op ~flight ~seat =
-  Op.Proc
-    {
-      name = Printf.sprintf "reserve f%d s%d" flight seat;
-      size = 32;
-      body =
-        (fun db ->
-          let taken = taken_seats db flight in
-          if List.mem seat taken then
-            Op.Conflict (Printf.sprintf "seat %d already taken" seat)
-          else begin
-            Db.append db (flight_key flight) (Value.Int seat);
-            Op.Applied (Value.Int seat)
-          end);
-    }
-
 let reserve session ~rng ~flight ~seats ~k =
   let replica = Session.replica session in
   let taken = taken_seats (Replica.db replica) flight in
@@ -38,7 +19,10 @@ let reserve session ~rng ~flight ~seats ~k =
   | _ ->
     let seat = List.nth free (Prng.int rng (List.length free)) in
     Session.affect_conit session (flight_conit flight) ~nweight:(-1.0) ~oweight:1.0;
-    Session.write session (reserve_op ~flight ~seat) ~k
+    (* The reservation procedure re-checks the seat against the database it
+       is applied to — the application-specific conflict check of the
+       paper's system model. *)
+    Session.write session (Op.Append_absent (flight_key flight, Value.Int seat)) ~k
 
 type result = {
   attempts : int;

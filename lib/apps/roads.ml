@@ -9,18 +9,12 @@ let section_key s = Printf.sprintf "road.%d" s
 let reserve_section ?(weight = 1.0) session ~section ~capacity ~k =
   Session.affect_conit session (section_conit section) ~nweight:weight ~oweight:1.0;
   let op =
-    Op.Proc
+    Op.Add_within
       {
-        name = Printf.sprintf "enter s%d" section;
-        size = 24;
-        body =
-          (fun db ->
-            if Db.get_float db (section_key section) +. weight > float_of_int capacity
-            then Op.Conflict "section full"
-            else begin
-              Db.add db (section_key section) weight;
-              Op.Applied (Db.get db (section_key section))
-            end);
+        key = section_key section;
+        delta = weight;
+        lo = neg_infinity;
+        hi = float_of_int capacity;
       }
   in
   Session.write session op ~k

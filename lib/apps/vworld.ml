@@ -11,16 +11,7 @@ let move session ~entity ~dx ~dy ~k =
   let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
   Session.affect_conit session (pos_conit entity) ~nweight:dist ~oweight:0.0;
   let op =
-    Op.Proc
-      {
-        name = Printf.sprintf "move e%d" entity;
-        size = 24;
-        body =
-          (fun db ->
-            Db.add db (x_key entity) dx;
-            Db.add db (y_key entity) dy;
-            Op.Applied Value.Nil);
-      }
+    Op.Add_pair { key1 = x_key entity; delta1 = dx; key2 = y_key entity; delta2 = dy }
   in
   Session.write session op ~k
 

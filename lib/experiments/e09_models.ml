@@ -56,30 +56,10 @@ let n_ignorant_row ~nbound ~duration =
 
 (* --- Conflict matrix -------------------------------------------------- *)
 
-let account_deposit amount =
-  Op.Proc
-    {
-      name = "deposit";
-      size = 16;
-      body =
-        (fun db ->
-          Db.add db "balance" amount;
-          Op.Applied (Db.get db "balance"));
-    }
+let account_deposit amount = Op.Add ("balance", amount)
 
 let account_withdraw amount =
-  Op.Proc
-    {
-      name = "withdraw";
-      size = 16;
-      body =
-        (fun db ->
-          if Db.get_float db "balance" >= amount then begin
-            Db.add db "balance" (-.amount);
-            Op.Applied (Db.get db "balance")
-          end
-          else Op.Conflict "insufficient funds");
-    }
+  Op.Add_within { key = "balance"; delta = -.amount; lo = 0.0; hi = infinity }
 
 let conflict_matrix_run ~with_matrix ~duration =
   (* methods: 0 = deposit, 1 = withdraw; withdraw conflicts with both. *)
@@ -340,18 +320,7 @@ let memdag_rows () =
     Engine.schedule engine ~delay:at (fun () ->
         let session = Session.create (System.replica sys replica) in
         Memdag.submit session ~dag ~node
-          ~op:
-            (Op.Proc
-               {
-                 name = Printf.sprintf "node%d" node;
-                 size = 16;
-                 body =
-                   (fun db ->
-                     Db.add db "trace" 1.0;
-                     Db.set db (Printf.sprintf "node%d" node)
-                       (Value.Float (Db.get_float db "trace"));
-                     Op.Applied Value.Nil);
-               })
+          ~op:(Op.Stamp ("trace", Printf.sprintf "node%d" node))
           ~k:(fun _ ->
             order := node :: !order;
             k ()))

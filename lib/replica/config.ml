@@ -5,10 +5,8 @@ type commit_scheme = Stability | Primary of int
    coalesces a replica's pushes and pull replies into one framed batch per
    peer per flush window ({!field-batch_flush}), delta-encoded against the
    peer's vector through the {!Tact_store.Batch} codec — the payload really
-   is serialised, so batched configurations need wire-serialisable ops
-   ({!Tact_store.Op.Named}, not [Op.Proc] closures).  Both modes reach the
-   same replica databases; batched trades a bounded flush delay for far
-   fewer, larger messages. *)
+   is serialised.  Both modes reach the same replica databases; batched
+   trades a bounded flush delay for far fewer, larger messages. *)
 type sync_mode = Per_write | Batched
 
 (* Knobs for real (Ext) transport backends and their per-peer connection

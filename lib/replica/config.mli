@@ -24,9 +24,9 @@ type sync_mode =
           against the peer's last-known vector, or a snapshot fallback when
           the log has truncated past it — is flushed per dirty peer per
           {!field-batch_flush} window.  Payloads are truly serialised through
-          {!Tact_store.Codec.Frame}, so ops must be wire-serialisable
-          ([Op.Named], not [Op.Proc] closures).  Same final databases as
-          [Per_write]; far fewer, larger messages. *)
+          {!Tact_store.Codec.Frame} (every {!Tact_store.Op.t} encodes).
+          Same final databases as [Per_write]; far fewer, larger
+          messages. *)
 
 (** Knobs for real transport backends ({!Tact_transport.Tcp}) and their
     per-peer connection supervisors.  Inert in simulation — the deterministic

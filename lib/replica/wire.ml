@@ -7,12 +7,8 @@
    over arbitrary bytes — corrupt input comes back as
    [Error (Transport.Malformed _)], with every count field validated against
    the remaining buffer ({!Tact_store.Codec.check_items}) before anything
-   proportional to it is allocated.
-
-   [Op.Proc] closures are simulation-only and cannot cross this seam;
-   encoding one raises {!Tact_store.Codec.Unserializable} (use {!Op.Named}
-   registered procedures in live configurations, as Batched sync already
-   requires). *)
+   proportional to it is allocated.  Encoding never raises: every op is
+   plain data. *)
 
 open Tact_store
 

@@ -7,12 +7,8 @@
     backend frames (4-byte length prefix, {!Tact_store.Transport}), and
     {!decode} is total over arbitrary bytes — hostile input returns
     [Error (Transport.Malformed _)], never raises, and never allocates
-    proportionally to a corrupt count field.
-
-    [Op.Proc] closures are simulation-only and cannot cross this seam:
-    encoding one raises {!Tact_store.Codec.Unserializable} — live
-    configurations use {!Tact_store.Op.Named} registered procedures, exactly
-    as Batched sync already requires. *)
+    proportionally to a corrupt count field.  Encoding never raises: every
+    op is plain data. *)
 
 open Tact_store
 

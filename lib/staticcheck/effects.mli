@@ -18,14 +18,14 @@ type atom =
           [lint: allow hashtbl-...] annotation *)
   | Global_mutation of string
       (** touches the named non-[Sync] module-level mutable value
-          (["Op.registry"]); reads count — they are
+          (["Config.analyze_hook"]); reads count — they are
           interleaving-dependent *)
   | Blocking of string  (** blocking call, e.g. ["Unix.read"] or
                             ["Mutex.lock"] *)
   | Raises of string  (** reaches ["failwith"] / ["raise"] unhandled *)
   | Domain_spawn
   | Widened of string
-      (** ⊤: a function value applied out of a record field ([".body"])
+      (** ⊤: a function value applied out of a record field ([".ep_send"])
           or ref cell (["!hook"]) — effects unknowable past this point *)
 
 val compare_atom : atom -> atom -> int

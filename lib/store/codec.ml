@@ -1,5 +1,4 @@
 exception Malformed of string
-exception Unserializable of string
 
 type cursor = { data : string; mutable pos : int }
 
@@ -182,17 +181,34 @@ let encode_op f (op : Op.t) =
     put_u8 f 3;
     put_string f k;
     encode_value f v
-  | Op.Named (name, arg) ->
-    put_u8 f 4;
-    put_string f name;
-    encode_value f arg
-  | Op.Proc p ->
-    raise
-      (Unserializable
-         (Printf.sprintf
-            "write procedure %S is a closure; use Op.Named with a registered \
-             procedure"
-            p.Op.name))
+  | Op.Add_within { key; delta; lo; hi } ->
+    put_u8 f 5;
+    put_string f key;
+    put_float f delta;
+    put_float f lo;
+    put_float f hi
+  | Op.Append_absent (k, v) ->
+    put_u8 f 6;
+    put_string f k;
+    encode_value f v
+  | Op.Concat (k, s) ->
+    put_u8 f 7;
+    put_string f k;
+    put_string f s
+  | Op.Truncate (k, n) ->
+    put_u8 f 8;
+    put_string f k;
+    put_int f n
+  | Op.Stamp (counter, k) ->
+    put_u8 f 9;
+    put_string f counter;
+    put_string f k
+  | Op.Add_pair { key1; delta1; key2; delta2 } ->
+    put_u8 f 10;
+    put_string f key1;
+    put_float f delta1;
+    put_string f key2;
+    put_float f delta2
 
 let decode_op c =
   match get_u8 c with
@@ -206,9 +222,30 @@ let decode_op c =
   | 3 ->
     let k = get_string c in
     Op.Append (k, decode_value c)
-  | 4 ->
-    let name = get_string c in
-    Op.Named (name, decode_value c)
+  (* Tag 4 stays unused: a string-named procedure from an old peer must
+     decode as Malformed, not as some other op. *)
+  | 5 ->
+    let key = get_string c in
+    let delta = get_float c in
+    let lo = get_float c in
+    Op.Add_within { key; delta; lo; hi = get_float c }
+  | 6 ->
+    let k = get_string c in
+    Op.Append_absent (k, decode_value c)
+  | 7 ->
+    let k = get_string c in
+    Op.Concat (k, get_string c)
+  | 8 ->
+    let k = get_string c in
+    Op.Truncate (k, get_int c)
+  | 9 ->
+    let counter = get_string c in
+    Op.Stamp (counter, get_string c)
+  | 10 ->
+    let key1 = get_string c in
+    let delta1 = get_float c in
+    let key2 = get_string c in
+    Op.Add_pair { key1; delta1; key2; delta2 = get_float c }
   | t -> raise (Malformed (Printf.sprintf "bad op tag %d" t))
 
 (* ------------------------------------------------------------------ *)
@@ -303,8 +340,6 @@ let decode_snapshot c =
    encoding.  Must mirror the encoders above exactly — checked by a test
    against [snapshot_to_string]. *)
 
-let value_byte_size = Value.wire_size
-
 let vector_byte_size v = 8 * (1 + Version_vector.size v)
 
 let snapshot_byte_size (s : Wlog.snapshot) =
@@ -316,7 +351,7 @@ let snapshot_byte_size (s : Wlog.snapshot) =
   in
   let db =
     List.fold_left
-      (fun acc k -> acc + 8 + String.length k + value_byte_size (Db.get s.snap_db k))
+      (fun acc k -> acc + 8 + String.length k + Value.wire_size (Db.get s.snap_db k))
       8
       (Db.keys s.snap_db)
   in

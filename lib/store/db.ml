@@ -44,23 +44,28 @@ let set t k v =
 let get_float t k = Value.to_float (get t k)
 let get_int t k = Value.to_int (get t k)
 
+let store t c k x =
+  let v = Value.Float x in
+  journal_was t k c.v;
+  c.v <- v;
+  v
+
+(* [Nil] is never a sum, so it can report "not a number" without
+   allocating an option on the hot path. *)
 let add_get t k delta =
   match H.find t.tbl k with
-  | c ->
-    let v = Value.Float (Value.to_float c.v +. delta) in
-    journal_was t k c.v;
-    c.v <- v;
-    v
+  | c -> (
+    match c.v with
+    | Value.Float x -> store t c k (x +. delta)
+    | Value.Int i -> store t c k (float_of_int i +. delta)
+    | Value.Nil -> store t c k (0.0 +. delta)
+    | Value.Str _ | Value.List _ -> Value.Nil)
   | exception Not_found ->
     (* A missing key reads as 0. *)
     let v = Value.Float (0.0 +. delta) in
     journal_absent t k;
     H.add t.tbl k { v };
     v
-
-let add t k delta = ignore (add_get t k delta)
-
-let append t k v = set t k (Value.List (v :: Value.to_list (get t k)))
 
 (* Unordered (bucket order); callers sort before iterating. *)
 let keys t = H.fold (fun k _ acc -> k :: acc) t.tbl []

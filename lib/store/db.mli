@@ -8,8 +8,8 @@
     not of the whole image.
 
     Contract:
-    - each key is one mutable cell, so {!get}, {!set}, {!add} and
-      {!add_get} cost one hash lookup each;
+    - each key is one mutable cell, so {!get}, {!set} and {!add_get} cost
+      one hash lookup each;
     - {!copy} copies every cell: mutating either image afterwards never
       shows through in the other;
     - an undo record names keys, not cells, so it may be reverted over any
@@ -36,16 +36,10 @@ val set : t -> string -> Value.t -> unit
 val get_float : t -> string -> float
 val get_int : t -> string -> int
 
-val add : t -> string -> float -> unit
-(** Numeric increment; missing keys start at 0. *)
-
 val add_get : t -> string -> float -> Value.t
-(** {!add}, returning the value it stored. *)
-
-val append : t -> string -> Value.t -> unit
-(** Add to the list at [key]; missing keys start as [].  Lists are kept
-    newest-first (constant-time add); readers see the most recent element at
-    the head. *)
+(** Numeric increment, returning the [Float] it stored; missing keys (and
+    [Nil]) start at 0.  A key holding a string or a list is left untouched
+    and the result is [Nil]. *)
 
 val keys : t -> string list
 

@@ -358,16 +358,12 @@ and register_weights t = function
 let apply_one t (w : Write.t) =
   let db = t.full_db in
   Db.start_recording db;
-  match Op.apply w.op db with
-  | outcome ->
-    let u = Db.stop_recording db in
-    (slot_exn t w.id).s_outcome <- Some outcome;
-    Deque.push_back t.undo u;
-    outcome
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (Db.stop_recording db);
-    Printexc.raise_with_backtrace e bt
+  (* [Op.apply] is total, so the recording always stops here. *)
+  let outcome = Op.apply w.op db in
+  let u = Db.stop_recording db in
+  (slot_exn t w.id).s_outcome <- Some outcome;
+  Deque.push_back t.undo u;
+  outcome
 
 (* Revert tentative applications down to position [pos] (exclusive). *)
 let rollback_to t pos =

@@ -106,6 +106,49 @@ let test_airline_committed_state_consistent () =
   Alcotest.(check int) "no duplicate seats" (List.length dedup) (List.length taken);
   Alcotest.(check bool) "plane full or close" true (List.length taken <= 12)
 
+(* Reservations are wire data, so they ride Batched sync: two replicas race
+   for the one seat, and exactly one committed reservation conflicts. *)
+let test_airline_batched () =
+  let sys =
+    System.create
+      ~topology:(Topology.uniform ~n:2 ~latency:0.02 ~bandwidth:1e6)
+      ~config:
+        {
+          Config.default with
+          Config.antientropy_period = Some 0.2;
+          sync = Config.Batched;
+          batch_flush = 0.02;
+        }
+      ()
+  in
+  let engine = System.engine sys in
+  let rng = Tact_util.Prng.create ~seed:23 in
+  for i = 0 to 1 do
+    let s = Session.create (System.replica sys i) in
+    Engine.schedule engine ~delay:0.1 (fun () ->
+        Airline.reserve s ~rng ~flight:0 ~seats:1 ~k:(fun o ->
+            Alcotest.(check bool) "tentatively free" false (Op.conflicted o)))
+  done;
+  System.run ~until:30.0 sys;
+  Alcotest.(check bool) "converged" true (System.converged sys);
+  let log = Replica.log (System.replica sys 0) in
+  let committed = Wlog.committed log in
+  Alcotest.(check int) "both reservations committed" 2 (List.length committed);
+  let conflicts =
+    List.filter
+      (fun (w : Write.t) ->
+        match Wlog.final_outcome log w.id with
+        | Some o -> Op.conflicted o
+        | None -> false)
+      committed
+  in
+  Alcotest.(check int) "exactly one committed conflict" 1 (List.length conflicts);
+  Alcotest.(check bool) "one seat taken" true
+    (Value.equal
+       (Db.get (Wlog.committed_db log) (Airline.flight_key 0))
+       (Value.List [ Value.Int 0 ]));
+  Alcotest.(check int) "verifier clean" 0 (List.length (Verify.check sys))
+
 (* --- QoS --------------------------------------------------------------- *)
 
 let test_qos_bound_improves_routing () =
@@ -202,6 +245,7 @@ let base_suite =
     Alcotest.test_case "airline rate tracks NE" `Quick test_airline_conflict_rate_tracks_ne;
     Alcotest.test_case "airline no overselling" `Quick test_airline_no_double_booking;
     Alcotest.test_case "airline committed seats unique" `Quick test_airline_committed_state_consistent;
+    Alcotest.test_case "airline batched" `Quick test_airline_batched;
     Alcotest.test_case "qos bound improves routing" `Quick test_qos_bound_improves_routing;
     Alcotest.test_case "editor insert/delete" `Quick test_editor_insert_delete;
     Alcotest.test_case "editor delete clamps" `Quick test_editor_delete_clamps;

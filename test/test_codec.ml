@@ -44,36 +44,26 @@ let test_value_nan_roundtrip () =
 
 (* --- Op round trips ------------------------------------------------------ *)
 
+(* One of every op constructor: each decodes to an op that re-encodes to
+   the same bytes, and its wire_size is exact. *)
 let test_op_roundtrip () =
   List.iter
     (fun op ->
-      let op' = Codec.decode_op (Codec.cursor (Codec.to_string Codec.encode_op op)) in
-      Alcotest.(check string) "op round trip" (Op.describe op) (Op.describe op'))
+      let s = Codec.to_string Codec.encode_op op in
+      let op' = Codec.decode_op (Codec.cursor s) in
+      Alcotest.(check string) "op round trip" (Op.describe op) (Op.describe op');
+      Alcotest.(check string) "re-encodes identically" s
+        (Codec.to_string Codec.encode_op op');
+      Alcotest.(check int) (Op.describe op ^ ": wire_size is exact") (String.length s)
+        (Op.wire_size op))
     [ Op.Noop; Op.Set ("k", Value.Int 3); Op.Add ("k", -2.5);
-      Op.Append ("k", Value.Str "x"); Op.Named ("reserve", Value.Int 7) ]
-
-let test_proc_unserializable () =
-  let proc = Op.guarded ~name:"g" ~check:(fun _ -> true) ~apply:(fun _ -> Value.Nil) () in
-  Alcotest.(check bool) "closure refused" true
-    (try
-       Codec.encode_op (Codec.Frame.create ~initial:8 ()) proc;
-       false
-     with Codec.Unserializable _ -> true)
-
-let test_named_proc_applies () =
-  Op.register_proc "test.incr_by" (fun arg db ->
-      Db.add db "n" (Value.to_float arg);
-      Op.Applied (Db.get db "n"));
-  let db = Db.create [] in
-  (match Op.apply (Op.Named ("test.incr_by", Value.Float 4.0)) db with
-  | Op.Applied v -> Alcotest.(check bool) "applied" true (feq (Value.to_float v) 4.0)
-  | Op.Conflict _ -> Alcotest.fail "conflicted");
-  Alcotest.(check bool) "registered" true (Op.proc_registered "test.incr_by");
-  Alcotest.(check bool) "unregistered raises" true
-    (try
-       ignore (Op.apply (Op.Named ("test.nope", Value.Nil)) db);
-       false
-     with Invalid_argument _ -> true)
+      Op.Append ("k", Value.Str "x");
+      Op.Add_within { key = "k"; delta = -1.0; lo = 0.0; hi = infinity };
+      Op.Append_absent ("seats", Value.Int 7);
+      Op.Concat ("para", "hello");
+      Op.Truncate ("para", 3);
+      Op.Stamp ("counter", "pos.a");
+      Op.Add_pair { key1 = "x"; delta1 = 0.5; key2 = "y"; delta2 = -0.25 } ]
 
 (* --- Write round trips ------------------------------------------------- *)
 
@@ -116,7 +106,7 @@ let test_write_size_memoized () =
       Op.Set ("key", Value.Str "hello");
       Op.Add ("counter", 2.5);
       Op.Append ("xs", Value.List [ Value.Int 1; Value.Str "ab"; Value.Nil ]);
-      Op.Named ("reserve", Value.Float 7.0) ]
+      Op.Append_absent ("reserve", Value.Float 7.0) ]
   in
   List.iteri
     (fun i op ->
@@ -159,7 +149,12 @@ let test_malformed_rejected () =
   (* A list claiming a negative length. *)
   let s = Codec.to_string Codec.encode_value (Value.List [ Value.Int 1 ]) in
   let corrupted = "\x04\xff\xff\xff\xff\xff\xff\xff\xff" ^ String.sub s 9 (String.length s - 9) in
-  Alcotest.(check bool) "negative length" true (reject corrupted)
+  Alcotest.(check bool) "negative length" true (reject corrupted);
+  (* Op tag 4 (a string-named procedure) is retired. *)
+  Alcotest.(check bool) "retired op tag" true
+    (match Codec.decode_op (Codec.cursor "\004") with
+    | _ -> false
+    | exception Codec.Malformed _ -> true)
 
 (* --- Snapshots to disk ------------------------------------------------------ *)
 
@@ -209,7 +204,7 @@ let test_byte_sizes () =
     (fun v ->
       Alcotest.(check int) "value size"
         (String.length (Codec.to_string Codec.encode_value v))
-        (Codec.value_byte_size v))
+        (Value.wire_size v))
     values;
   let log =
     Wlog.create ~replicas:3
@@ -252,8 +247,6 @@ let base_suite =
     test_value_roundtrip;
     Alcotest.test_case "value nan" `Quick test_value_nan_roundtrip;
     Alcotest.test_case "op round trip" `Quick test_op_roundtrip;
-    Alcotest.test_case "proc unserializable" `Quick test_proc_unserializable;
-    Alcotest.test_case "named proc applies" `Quick test_named_proc_applies;
     test_write_roundtrip;
     Alcotest.test_case "write size memoized" `Quick test_write_size_memoized;
     Alcotest.test_case "vector round trip" `Quick test_vector_roundtrip;
@@ -263,14 +256,11 @@ let base_suite =
     Alcotest.test_case "snapshot bad magic" `Quick test_snapshot_bad_magic;
   ]
 
-(* A whole system whose operations are all Named (wire-serialisable): it
-   behaves identically, and every accepted write round-trips the codec. *)
+(* A whole system whose writes are guarded procedures: it converges, and
+   every accepted write round-trips the codec. *)
 let test_fully_serialisable_system () =
   let open Tact_sim in
   let open Tact_replica in
-  Op.register_proc "codec.bump" (fun arg db ->
-      Db.add db "x" (Value.to_float arg);
-      Op.Applied (Db.get db "x"));
   let sys =
     System.create
       ~topology:(Topology.uniform ~n:3 ~latency:0.03 ~bandwidth:1e6)
@@ -284,7 +274,7 @@ let test_fully_serialisable_system () =
       (fun () ->
         Replica.submit_write (System.replica sys (k mod 3)) ~deps:[]
           ~affects:[ { Write.conit = "c"; nweight = 1.0; oweight = 1.0 } ]
-          ~op:(Op.Named ("codec.bump", Value.Float 1.0))
+          ~op:(Op.Add_within { key = "x"; delta = 1.0; lo = 0.0; hi = 9.0 })
           ~k:ignore)
   done;
   System.run ~until:60.0 sys;

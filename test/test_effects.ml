@@ -3,7 +3,7 @@
    the planted dirty/clean fixture twins (SA050-SA064), the dead-exported
    API pass (SA004), byte-identical re-runs, and the real-tree acceptance
    checks (deterministic core clean, nemesis campaign reaches
-   Op.registry). *)
+   Config.analyze_hook). *)
 
 open Tact_staticcheck
 module Json = Tact_check.Json
@@ -458,10 +458,11 @@ let test_repo_det_core_clean () =
            (find_rule findings id)))
     [ "SA050"; "SA051"; "SA052" ]
 
-let test_repo_campaign_reaches_registry () =
-  (* PR7's domain-race pass caught the nemesis campaign touching
-     Op.registry; the fixpoint must rediscover it through the call graph,
-     with the full chain. *)
+let test_repo_campaign_reaches_analyze_hook () =
+  (* The nemesis campaign reaches the one global it mutates,
+     Config.analyze_hook, only through several hops (Campaign.run -> ... ->
+     System.create -> Config.run_analyze_hook); the fixpoint must rediscover
+     it through the call graph, with the full chain. *)
   let _, cg, eff = Lazy.force repo_eff in
   let run =
     match Callgraph.resolve_symbol cg "Campaign.run" with
@@ -469,16 +470,19 @@ let test_repo_campaign_reaches_registry () =
     | l -> Alcotest.failf "Campaign.run: expected one node, got %d" (List.length l)
   in
   let atoms = Effects.summary_of eff run in
-  Alcotest.(check bool) "campaign reaches the op registry" true
-    (Effects.AtomSet.mem (Effects.Global_mutation "Op.registry") atoms);
-  match Effects.chain eff run (Effects.Global_mutation "Op.registry") with
-  | None -> Alcotest.fail "no chain to Op.registry"
+  let hook = Effects.Global_mutation "Config.analyze_hook" in
+  Alcotest.(check bool) "campaign reaches the analyze hook" true
+    (Effects.AtomSet.mem hook atoms);
+  match Effects.chain eff run hook with
+  | None -> Alcotest.fail "no chain to Config.analyze_hook"
   | Some nodes ->
     let text = Effects.chain_text nodes in
     Alcotest.(check bool) "chain starts at the campaign" true
-      (contains text "lib/nemesis/Campaign.run");
-    Alcotest.(check bool) "chain ends in the store" true
-      (contains text "lib/store/Op.apply")
+      (String.starts_with ~prefix:"lib/nemesis/Campaign.run" text);
+    Alcotest.(check bool) "chain passes System.create" true
+      (contains text "lib/replica/System.create");
+    Alcotest.(check bool) "chain ends at the hook runner" true
+      (contains text "lib/replica/Config.run_analyze_hook")
 
 let suite =
   [
@@ -512,6 +516,6 @@ let suite =
     Alcotest.test_case "baseline stale keys" `Quick test_baseline_stale;
     Alcotest.test_case "real tree: det core clean" `Quick
       test_repo_det_core_clean;
-    Alcotest.test_case "real tree: campaign reaches registry" `Quick
-      test_repo_campaign_reaches_registry;
+    Alcotest.test_case "real tree: campaign reaches hook" `Quick
+      test_repo_campaign_reaches_analyze_hook;
   ]

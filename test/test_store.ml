@@ -3,6 +3,7 @@
 open Tact_store
 
 let feq a b = Float.abs (a -. b) < 1e-9
+let add db k d = ignore (Db.add_get db k d)
 
 (* --- Value ------------------------------------------------------------ *)
 
@@ -41,11 +42,10 @@ let test_value_conversions () =
     (fun () -> ignore (Value.to_int (Value.Str "x")))
 
 let test_value_byte_size () =
-  Alcotest.(check int) "int" 8 (Value.byte_size (Value.Int 1));
-  Alcotest.(check int) "str" 9 (Value.byte_size (Value.Str "hello"));
-  Alcotest.(check bool) "list grows" true
-    (Value.byte_size (Value.List [ Value.Int 1; Value.Int 2 ])
-    > Value.byte_size (Value.List [ Value.Int 1 ]))
+  Alcotest.(check int) "nil" 1 (Value.wire_size Value.Nil);
+  Alcotest.(check int) "int" 9 (Value.wire_size (Value.Int 1));
+  Alcotest.(check int) "str" 14 (Value.wire_size (Value.Str "hello"));
+  Alcotest.(check int) "list" 27 (Value.wire_size (Value.List [ Value.Int 1; Value.Int 2 ]))
 
 let test_value_to_string () =
   Alcotest.(check string) "render" "[1; \"a\"]"
@@ -126,15 +126,15 @@ let test_db_get_set () =
 
 let test_db_add () =
   let db = Db.create [] in
-  Db.add db "c" 2.5;
-  Db.add db "c" 1.5;
+  add db "c" 2.5;
+  add db "c" 1.5;
   Alcotest.(check bool) "accumulates" true (feq (Db.get_float db "c") 4.0);
   Alcotest.(check int) "get_int truncates" 4 (Db.get_int db "c")
 
 let test_db_append_newest_first () =
   let db = Db.create [] in
-  Db.append db "l" (Value.Int 1);
-  Db.append db "l" (Value.Int 2);
+  ignore (Op.apply (Op.Append ("l", Value.Int 1)) db);
+  ignore (Op.apply (Op.Append ("l", Value.Int 2)) db);
   Alcotest.(check bool) "newest first" true
     (Value.equal (Db.get db "l") (Value.List [ Value.Int 2; Value.Int 1 ]))
 
@@ -147,7 +147,7 @@ let test_db_copy_isolated () =
   (* The other direction: the copy owns its cells too. *)
   let cp2 = Db.copy db in
   Db.set cp2 "a" (Value.Int 5);
-  Db.add cp2 "b" 2.0;
+  add cp2 "b" 2.0;
   Alcotest.(check v) "original unaffected by copy's set" (Value.Int 9) (Db.get db "a");
   Alcotest.(check v) "original unaffected by copy's add" Value.Nil (Db.get db "b");
   (* A journal recorded on one image, reverted over its copy, restores the
@@ -156,8 +156,8 @@ let test_db_copy_isolated () =
   let img = Db.create [ ("x", Value.Int 1); ("y", Value.Float 2.0) ] in
   Db.start_recording img;
   Db.set img "x" (Value.Int 7);
-  Db.add img "y" 3.0;
-  Db.add img "y" 1.0;
+  add img "y" 3.0;
+  add img "y" 1.0;
   Db.set img "fresh" (Value.Str "new");
   let undo = Db.stop_recording img in
   let replay = Db.copy img in
@@ -190,25 +190,18 @@ let test_db_keys () =
   let db = Db.create [ ("a", Value.Int 1); ("b", Value.Int 2) ] in
   Alcotest.(check int) "two keys" 2 (List.length (Db.keys db))
 
-(* The write log stops a recording on both exits of a write's apply, so a
-   raising op leaves the image ready for the next recording, and the next
-   journal holds only its own mutations. *)
+(* The write log stops a recording on every exit of a write's apply, so an
+   ill-typed op (which conflicts instead of raising) leaves the image
+   untouched and ready for the next recording, and the next journal holds
+   only its own mutations. *)
 let test_db_recording_exits () =
-  let log = Wlog.create ~replicas:1 ~initial:[ ("a", Value.Int 1) ] in
-  let boom =
+  let log = Wlog.create ~replicas:1 ~initial:[ ("a", Value.Str "text") ] in
+  let bad =
     Write.make ~id:{ Write.origin = 0; seq = 1 } ~accept_time:1.0
-      ~op:
-        (Op.Proc
-           {
-             name = "boom";
-             size = 8;
-             body = (fun db -> Db.set db "a" (Value.Int 2); failwith "boom");
-           })
-      ~affects:[]
+      ~op:(Op.Add ("a", 1.0)) ~affects:[]
   in
-  (match Wlog.accept log boom with
-  | _ -> Alcotest.fail "the op raised"
-  | exception Failure _ -> ());
+  Alcotest.(check bool) "ill-typed add conflicts" true
+    (Op.conflicted (Wlog.accept log bad));
   let db = Wlog.db log in
   Db.start_recording db;
   Db.set db "b" (Value.Int 3);
@@ -217,7 +210,7 @@ let test_db_recording_exits () =
   Db.revert db undo;
   Alcotest.(check bool) "reverted only the recorded set" true
     (Value.equal (Db.get db "b") Value.Nil
-    && Value.equal (Db.get db "a") (Value.Int 2)
+    && Value.equal (Db.get db "a") (Value.Str "text")
     && Value.equal (Db.get db "c") (Value.Int 4))
 
 (* --- Op ------------------------------------------------------------- *)
@@ -241,23 +234,69 @@ let test_op_noop () =
   Alcotest.(check int) "db untouched" 0 (Db.size db)
 
 let test_op_guarded () =
-  let op =
-    Op.guarded ~name:"withdraw"
-      ~check:(fun db -> Db.get_float db "bal" >= 10.0)
-      ~apply:(fun db ->
-        Db.add db "bal" (-10.0);
-        Db.get db "bal")
-      ~alt:(fun _ -> "insufficient")
-      ()
-  in
+  let op = Op.Add_within { key = "bal"; delta = -10.0; lo = 0.0; hi = infinity } in
   let db = Db.create [ ("bal", Value.Float 15.0) ] in
   (match Op.apply op db with
   | Op.Applied v -> Alcotest.(check bool) "first succeeds" true (feq (Value.to_float v) 5.0)
   | Op.Conflict _ -> Alcotest.fail "unexpected conflict");
   (match Op.apply op db with
-  | Op.Conflict r -> Alcotest.(check string) "alt reason" "insufficient" r
+  | Op.Conflict r -> Alcotest.(check string) "reason" "bal would be -5, outside [0, inf]" r
   | Op.Applied _ -> Alcotest.fail "should conflict");
-  Alcotest.(check bool) "conflict left state alone" true (feq (Db.get_float db "bal") 5.0)
+  Alcotest.(check bool) "conflict left state alone" true (feq (Db.get_float db "bal") 5.0);
+  let seat = Op.Append_absent ("seats", Value.Int 3) in
+  Alcotest.(check bool) "free seat taken" false (Op.conflicted (Op.apply seat db));
+  Alcotest.(check bool) "taken seat conflicts" true (Op.conflicted (Op.apply seat db));
+  ignore (Op.apply (Op.Concat ("p", "hello world")) db);
+  (match Op.apply (Op.Truncate ("p", 6)) db with
+  | Op.Applied v -> Alcotest.(check bool) "dropped six" true (Value.equal v (Value.Int 6))
+  | Op.Conflict _ -> Alcotest.fail "truncate conflicted");
+  Alcotest.(check bool) "text kept" true (Value.equal (Db.get db "p") (Value.Str "hello"));
+  ignore (Op.apply (Op.Stamp ("n", "first")) db);
+  ignore (Op.apply (Op.Stamp ("n", "second")) db);
+  Alcotest.(check bool) "stamps record order" true
+    (Value.equal (Db.get db "second") (Value.Float 2.0))
+
+(* [apply] is total: whatever the key held before, no op raises, and an op
+   that conflicts leaves the image equal to its pre-apply copy.  Prior
+   values are finite (a stored NaN is unequal to itself under [Db.equal]);
+   op arguments include NaN and infinities. *)
+let test_op_apply_total =
+  let open QCheck.Gen in
+  let key = oneofl [ "k"; "j" ] in
+  let finite = map (fun f -> f -. 5e5) (float_bound_inclusive 1e6) in
+  let num = oneof [ finite; oneofl [ nan; infinity; neg_infinity ] ] in
+  let value =
+    oneof
+      [ return Value.Nil; map (fun i -> Value.Int i) small_signed_int;
+        map (fun f -> Value.Float f) finite; map (fun s -> Value.Str s) string_small;
+        map (fun l -> Value.List (List.map (fun i -> Value.Int i) l)) (small_list nat) ]
+  in
+  let op =
+    oneof
+      [ return Op.Noop; map2 (fun k v -> Op.Set (k, v)) key value;
+        map2 (fun k d -> Op.Add (k, d)) key num;
+        map2 (fun k v -> Op.Append (k, v)) key value;
+        map4 (fun key delta lo hi -> Op.Add_within { key; delta; lo; hi }) key num num num;
+        map2 (fun k v -> Op.Append_absent (k, v)) key value;
+        map2 (fun k s -> Op.Concat (k, s)) key string_small;
+        map2 (fun k n -> Op.Truncate (k, n)) key small_signed_int;
+        map2 (fun c k -> Op.Stamp (c, k)) key key;
+        map4 (fun key1 delta1 key2 delta2 -> Op.Add_pair { key1; delta1; key2; delta2 })
+          key num key num ]
+  in
+  let print (op, k, j) =
+    Printf.sprintf "%s over k=%s j=%s" (Op.describe op) (Value.to_string k)
+      (Value.to_string j)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"op apply total" ~count:1000
+       (QCheck.make ~print (triple op value value))
+       (fun (op, k, j) ->
+         let db = Db.create [ ("k", k); ("j", j) ] in
+         let before = Db.copy db in
+         match Op.apply op db with
+         | Op.Applied _ -> true
+         | Op.Conflict _ -> Db.equal db before))
 
 let test_op_outcome_helpers () =
   Alcotest.(check bool) "conflicted" true (Op.conflicted (Op.Conflict "x"));
@@ -267,12 +306,9 @@ let test_op_outcome_helpers () =
 
 let test_op_describe_size () =
   Alcotest.(check bool) "describe" true (String.length (Op.describe (Op.Add ("k", 1.0))) > 0);
-  Alcotest.(check bool) "sizes positive" true
-    (List.for_all
-       (fun op -> Op.byte_size op > 0)
-       [ Op.Noop; Op.Set ("k", Value.Int 1); Op.Add ("k", 1.0);
-         Op.Append ("k", Value.Nil);
-         Op.guarded ~name:"g" ~check:(fun _ -> true) ~apply:(fun _ -> Value.Nil) () ])
+  Alcotest.(check (list int)) "exact sizes" [ 1; 19; 18; 11 ]
+    (List.map Op.wire_size
+       [ Op.Noop; Op.Set ("k", Value.Int 1); Op.Add ("k", 1.0); Op.Append ("k", Value.Nil) ])
 
 (* --- Write ------------------------------------------------------------ *)
 
@@ -348,6 +384,7 @@ let suite =
     Alcotest.test_case "op set/add/append" `Quick test_op_set_add_append;
     Alcotest.test_case "op noop" `Quick test_op_noop;
     Alcotest.test_case "op guarded" `Quick test_op_guarded;
+    test_op_apply_total;
     Alcotest.test_case "op outcome helpers" `Quick test_op_outcome_helpers;
     Alcotest.test_case "op describe/size" `Quick test_op_describe_size;
     Alcotest.test_case "write weights" `Quick test_write_weights;

@@ -12,7 +12,9 @@
      while a peer is down, reconnect-with-resync, poisoning of hostile
      connections, and fd-leak-free repeated create/destroy
    - a live replica served through the client protocol keeps no access
-     records or commit journal, and its status line is one JSON object
+     records or commit journal, and its status line is one JSON object;
+     an ill-typed write conflicts instead of killing the daemon, and an
+     application procedure (a seat reservation) is served like any op
    - an in-process 3-daemon nemesis run: a rolling partition plus delay
      spike (lib/nemesis/gen.ml) against live sockets through the
      fault-injecting decorator, with client traffic throughout and a
@@ -1079,6 +1081,73 @@ let test_serve_pipelined_submits () =
   (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
   Serve.close srv
 
+(* One single-replica daemon and one connected client: [f] talks to it
+   through [ask], which sends a request and pumps until the answer. *)
+let with_one_serve ~seed f =
+  let ports = Array.of_list (fresh_ports 2) in
+  let client_addr = loopback ports.(1) in
+  let config = { Config.default with Config.transport = fast_knobs } in
+  let srv =
+    Serve.create ~id:0 ~n:1 ~peer_addrs:[| loopback ports.(0) |] ~client_addr
+      ~config ~seed ()
+  in
+  Serve.start srv;
+  let loop = Serve.loop srv in
+  let c = client_connect client_addr in
+  let ask req =
+    client_send c req;
+    let resp = ref None in
+    let answered =
+      pump loop ~deadline:(Loop.now loop +. 5.0) (fun () ->
+          (match client_try_read c with Some r -> resp := Some r | None -> ());
+          !resp <> None)
+    in
+    Alcotest.(check bool) (Client.describe_request req ^ " answered") true answered;
+    Option.get !resp
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close c.cl_fd with Unix.Unix_error _ -> ());
+      Serve.close srv)
+    (fun () -> f ask)
+
+let submit op = Client.Submit { conit = "c"; nweight = 1.0; oweight = 1.0; op }
+
+(* An op meeting a value of the wrong type conflicts instead of raising out
+   of the daemon's loop: the daemon keeps answering. *)
+let test_serve_ill_typed_write_conflicts () =
+  with_one_serve ~seed:11 (fun ask ->
+      (match ask (submit (Op.Set ("k", Value.Str "x"))) with
+      | Client.Outcome (Op.Applied _) -> ()
+      | r -> Alcotest.failf "set refused: %s" (Client.describe_response r));
+      (match ask (submit (Op.Add ("k", 1.0))) with
+      | Client.Outcome (Op.Conflict _) -> ()
+      | r -> Alcotest.failf "add on a string: %s" (Client.describe_response r));
+      match ask Client.Status with
+      | Client.Status_r st -> Alcotest.(check bool) "still up" true st.Client.c_up
+      | r -> Alcotest.failf "status: %s" (Client.describe_response r))
+
+(* An application procedure is wire data: the same seat reserved twice
+   through the client protocol is taken once, then conflicts. *)
+let test_serve_reservation () =
+  with_one_serve ~seed:12 (fun ask ->
+      let reserve =
+        Client.Submit
+          {
+            conit = Tact_apps.Airline.flight_conit 0;
+            nweight = -1.0;
+            oweight = 1.0;
+            op = Op.Append_absent (Tact_apps.Airline.flight_key 0, Value.Int 5);
+          }
+      in
+      (match ask reserve with
+      | Client.Outcome (Op.Applied v) ->
+        Alcotest.(check bool) "seat 5 taken" true (Value.equal v (Value.Int 5))
+      | r -> Alcotest.failf "first reservation: %s" (Client.describe_response r));
+      match ask reserve with
+      | Client.Outcome (Op.Conflict _) -> ()
+      | r -> Alcotest.failf "second reservation: %s" (Client.describe_response r))
+
 (* --- System.run teardown (satellite f) --------------------------------- *)
 
 let topo n = Tact_sim.Topology.uniform ~n ~latency:0.04 ~bandwidth:1_000_000.0
@@ -1155,4 +1224,8 @@ let suite =
     Alcotest.test_case "system: teardown on raise" `Quick
       test_system_run_teardown_on_raise;
     Alcotest.test_case "system: close idempotent" `Quick test_system_close_idempotent;
+    Alcotest.test_case "serve: ill-typed write conflicts" `Quick
+      test_serve_ill_typed_write_conflicts;
+    Alcotest.test_case "serve: reservation then conflict" `Quick
+      test_serve_reservation;
   ]

@@ -13,17 +13,7 @@ let mk ?(op = Op.Noop) ?(affects = [ unit_w "c" ]) ~origin ~seq ~t () =
 let add_op k = Op.Add (k, 1.0)
 
 (* An order-sensitive op: records its position in the application order. *)
-let seq_stamp_op name =
-  Op.Proc
-    {
-      name;
-      size = 8;
-      body =
-        (fun db ->
-          Db.add db "order.counter" 1.0;
-          Db.set db ("pos." ^ name) (Value.Float (Db.get_float db "order.counter"));
-          Op.Applied Value.Nil);
-    }
+let seq_stamp_op name = Op.Stamp ("order.counter", "pos." ^ name)
 
 let test_accept_applies () =
   let log = Wlog.create ~replicas:2 ~initial:[] in
@@ -82,12 +72,7 @@ let test_outcome_changes_under_reorder () =
   (* A guarded write that succeeds tentatively but conflicts after an
      earlier-timestamped write consumes the resource. *)
   let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
+    Op.Add_within { key = "stock"; delta = -1.0; lo = 0.0; hi = infinity }
   in
   let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let mine = mk ~op:take ~origin:0 ~seq:1 ~t:5.0 () in
@@ -141,12 +126,7 @@ let test_commit_stable_tie_break () =
 
 let test_final_outcomes () =
   let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
+    Op.Add_within { key = "stock"; delta = -1.0; lo = 0.0; hi = infinity }
   in
   let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let late = mk ~op:take ~origin:0 ~seq:1 ~t:5.0 () in
@@ -401,12 +381,7 @@ let base_suite =
    supplied order, not timestamp order. *)
 let test_csn_final_outcome_order () =
   let take =
-    Op.guarded ~name:"take"
-      ~check:(fun db -> Db.get_float db "stock" >= 1.0)
-      ~apply:(fun db ->
-        Db.add db "stock" (-1.0);
-        Db.get db "stock")
-      ()
+    Op.Add_within { key = "stock"; delta = -1.0; lo = 0.0; hi = infinity }
   in
   let log = Wlog.create ~replicas:2 ~initial:[ ("stock", Value.Float 1.0) ] in
   let early = mk ~op:take ~origin:0 ~seq:1 ~t:1.0 () in

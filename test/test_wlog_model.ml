@@ -296,19 +296,7 @@ end
    a cap, so reorderings flip which writes conflict — exercising outcome
    re-recording across rollback/reapply. *)
 let cap_add key limit delta =
-  Op.Proc
-    {
-      name = "cap_add";
-      size = 16;
-      body =
-        (fun db ->
-          let v = Db.get_float db key in
-          if v +. delta > limit then Op.Conflict "over cap"
-          else begin
-            Db.set db key (Value.Float (v +. delta));
-            Op.Applied (Value.Float (v +. delta))
-          end);
-    }
+  Op.Add_within { key; delta; lo = neg_infinity; hi = limit }
 
 let gen_big_pool rng ~replicas =
   let pool = ref [] in
